@@ -1,4 +1,4 @@
-.PHONY: all build lint check test bench bench-quick doc clean examples fault-tests store-tests par-tests bench-parallel sim-tests bench-sim bench-compare analyze-tests bench-check serve-tests bench-serve bench-store bench-store-scale ci ci-bench-compare ci-serve-compare ci-store-scale-compare
+.PHONY: all build lint check test bench bench-quick doc clean examples fault-tests store-tests par-tests bench-parallel sim-tests bench-sim bench-compare analyze-tests bench-check serve-tests bench-serve bench-store bench-store-scale ci ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
 
 all: build
 
@@ -186,8 +186,14 @@ bench-timing:
 # BENCH_check.json.  The bench gate re-measures on this host, so the
 # regression threshold is generous — it catches complexity cliffs, not
 # noise.
-ci: build test lint fault-tests store-tests par-tests sim-tests analyze-tests serve-tests ci-bench-compare ci-serve-compare ci-store-scale-compare
+ci: build test lint fault-tests store-tests par-tests sim-tests analyze-tests serve-tests ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
 	@echo "ci: all gates passed"
+
+# The repository benchmark's own self-tests at reduced sizes (about a
+# minute): every declared metric printed with its unit, outputs correct,
+# same-seed digests repeat, and the traced run prints every layer row.
+perfbench-test:
+	python3 perfbench/test.py
 
 ci-bench-compare:
 	dune exec bench/main.exe -- check --json $(or $(TMPDIR),/tmp)/BENCH_check_ci.json

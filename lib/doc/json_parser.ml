@@ -69,11 +69,32 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
-  else begin
+  else if code < 0x10000 then begin
     Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
     Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
+  else begin
+    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+
+(* The four hex digits at [at], or -1 when they are missing or not hex. *)
+let hex4 src at =
+  if at + 4 > String.length src then -1
+  else
+    let rec go acc i =
+      if i = 4 then acc
+      else
+        let h = hex_val src.[at + i] in
+        if h < 0 then -1 else go ((acc * 16) + h) (i + 1)
+    in
+    go 0 0
+
+let is_high u = u >= 0xD800 && u <= 0xDBFF
+let is_low u = u >= 0xDC00 && u <= 0xDFFF
 
 (* [quote] is ['"'] for JSON strings; lenient mode also reaches here with
    ['\''] for single-quoted strings. *)
@@ -109,22 +130,35 @@ let parse_string_body st quote =
           | 't' -> Buffer.add_char buf '\t'
           | 'u' ->
             if st.pos + 4 < String.length st.src then begin
-              let v =
-                List.fold_left
-                  (fun acc i ->
-                    if acc < 0 then acc
-                    else
-                      let h = hex_val st.src.[st.pos + 1 + i] in
-                      if h < 0 then -1 else (acc * 16) + h)
-                  0 [ 0; 1; 2; 3 ]
-              in
+              let v = hex4 st.src (st.pos + 1) in
               if v < 0 then begin
                 ignore (recover st "bad \\u escape (kept literally)");
                 Buffer.add_string buf "\\u"
               end
               else begin
-                add_utf8 buf v;
-                st.pos <- st.pos + 4
+                (* A high surrogate directly followed by a \u-escaped low
+                   one is one code point.  Every unpaired half becomes
+                   U+FFFD, so the text is always well-formed UTF-8; an
+                   escape after an unpaired high is left for the next
+                   round (it may start a pair of its own). *)
+                let next = st.pos + 5 in
+                let lo =
+                  if
+                    is_high v
+                    && next + 1 < String.length st.src
+                    && st.src.[next] = '\\'
+                    && st.src.[next + 1] = 'u'
+                  then hex4 st.src (next + 2)
+                  else -1
+                in
+                if is_low lo then begin
+                  add_utf8 buf (0x10000 + ((v - 0xD800) lsl 10) + (lo - 0xDC00));
+                  st.pos <- st.pos + 10
+                end
+                else begin
+                  add_utf8 buf (if is_high v || is_low v then 0xFFFD else v);
+                  st.pos <- st.pos + 4
+                end
               end
             end
             else begin

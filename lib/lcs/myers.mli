@@ -1,11 +1,16 @@
 (** Myers' O(ND) longest-common-subsequence algorithm [Mye86].
 
-    This is the LCS procedure the paper relies on in three places: aligning
-    children in [AlignChildren] (§4.2), the per-label chain matching of
-    [FastMatch] (§5.3), and the word-level sentence comparison of LaDiff (§7).
-    Following §4.2 it is parameterised by an arbitrary equality function — the
-    reason the paper cannot reuse the stock UNIX diff, which needs ordering
-    comparisons.
+    This is the LCS procedure the paper relies on for aligning children in
+    [AlignChildren] (§4.2) and for the per-label chain matching of
+    [FastMatch] (§5.3).  Following §4.2 it is parameterised by an arbitrary
+    equality function — the reason the paper cannot reuse the stock UNIX
+    diff, which needs ordering comparisons.
+
+    The word-level sentence comparison of LaDiff (§7) compares interned
+    word ids with the bit-parallel {!Bitpar.lcs_length}, which is O(n) where
+    Myers hits its O((N+M)²) worst case on unrelated sentences.  It falls
+    back to {!lcs_length} only when both sentences are longer than
+    {!Bitpar.max_len} words.
 
     Running time is O((N+M)·D) where D is the size of the shortest edit
     script; space is O(D²) for path recovery. *)

@@ -1,6 +1,7 @@
 module Budget = Treediff_util.Budget
 module Exec = Treediff_util.Exec
 module Fault = Treediff_util.Fault
+module Clock = Treediff_util.Clock
 module Diag = Treediff_check.Diag
 module Diff = Treediff.Diff
 module Config = Treediff.Config
@@ -60,7 +61,7 @@ let create ?(default_deadline_ms = 1000.) ?(max_deadline_ms = 5000.)
     faults = (match faults with Some f -> f | None -> Fault.create ());
     cache = Cache.create cache_entries;
     stores = Cache.create store_handles;
-    started_at = Unix.gettimeofday ();
+    started_at = Clock.now ();
     served = 0;
     ok = 0;
     degraded = 0;
@@ -95,7 +96,7 @@ let effective_deadline t req =
   Float.min requested t.max_deadline_ms
 
 let remaining_ms t ~received_at req =
-  effective_deadline t req -. ((Unix.gettimeofday () -. received_at) *. 1000.)
+  effective_deadline t req -. ((Clock.now () -. received_at) *. 1000.)
 
 let deadline_error t ~id ~received_at req =
   if remaining_ms t ~received_at req <= 0. then begin
@@ -629,7 +630,7 @@ let stats_body t ~queue_depth ~draining =
   Json.Obj
     [
       ("uptime_ms",
-       Json.Num ((Unix.gettimeofday () -. t.started_at) *. 1000.));
+       Json.Num ((Clock.now () -. t.started_at) *. 1000.));
       ("queue_depth", Json.Num (float_of_int queue_depth));
       ("draining", Json.Bool draining);
       ("served", Json.Num (float_of_int t.served));

@@ -62,7 +62,9 @@ val handle :
   Protocol.request ->
   outcome
 (** Execute one admitted request.  [received_at] is the
-    [Unix.gettimeofday] instant the frame was decoded; [queue_depth] and
+    {!Treediff_util.Clock.now} instant the frame was decoded (a monotonic
+    reading: the queueing time charged against the deadline is
+    [Clock.now () -. received_at]); [queue_depth] and
     [draining] feed the [stats] verb. *)
 
 val deadline_error :

@@ -1,5 +1,6 @@
 module Budget = Treediff_util.Budget
 module Fault = Treediff_util.Fault
+module Clock = Treediff_util.Clock
 
 type config = {
   host : string;
@@ -122,7 +123,7 @@ let admit st c payload =
         (Protocol.error_payload ~id:req.Protocol.id
            ~retry_after_ms:st.cfg.retry_after_ms Protocol.Overloaded
            (Printf.sprintf "queue full (%d requests)" (Queue.length st.queue)))
-    else Queue.add (c, Unix.gettimeofday (), req) st.queue
+    else Queue.add (c, Clock.now (), req) st.queue
 
 (* ---------------------------------------------------------------- drain *)
 
@@ -380,7 +381,7 @@ let serve_stdio ?(config = default_config) ?faults ic oc =
       Protocol.write_frame oc
         (Protocol.error_payload ~id:0 Protocol.Bad_request msg)
     | Ok (Some payload) -> (
-      let received_at = Unix.gettimeofday () in
+      let received_at = Clock.now () in
       let parsed =
         match
           Fault.point faults "serve.decode";

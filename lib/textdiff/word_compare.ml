@@ -49,11 +49,15 @@ let words s =
    either string of a call is looked up.
 
    Caches are values, not module state: each execution context (or domain)
-   owns its own, so concurrent diffs never share a table. *)
+   owns its own, so concurrent diffs never share a table.  That includes
+   [masks], the bit-parallel LCS kernel's per-word scratch: indexed by word
+   id, grown with the interner, all zeros between calls, and kept across
+   [clear] (ids restart from 0, and a zeroed table serves any generation). *)
 module Cache = struct
   type t = {
     token_tbl : (string, int array) Hashtbl.t;
     word_ids : (string, int) Hashtbl.t;
+    mutable masks : int array;
     cap : int;
   }
 
@@ -61,7 +65,12 @@ module Cache = struct
 
   let create ?(cap = default_cap) () =
     if cap < 1 then invalid_arg "Word_compare.Cache.create: cap < 1";
-    { token_tbl = Hashtbl.create 1024; word_ids = Hashtbl.create 1024; cap }
+    {
+      token_tbl = Hashtbl.create 1024;
+      word_ids = Hashtbl.create 1024;
+      masks = Array.make 1024 0;
+      cap;
+    }
 
   let clear c =
     Hashtbl.reset c.token_tbl;
@@ -87,6 +96,19 @@ let tokens c s =
     Hashtbl.replace c.Cache.token_tbl s a;
     a
 
+(* Word LCS length: the bit-parallel kernel whenever the shorter sentence
+   fits one machine word (every word id is below the interner's size, so a
+   table that long covers both sides); Myers' O(ND) otherwise. *)
+let lcs_length c wa wb =
+  if min (Array.length wa) (Array.length wb) <= Treediff_lcs.Bitpar.max_len
+  then begin
+    let words = Hashtbl.length c.Cache.word_ids in
+    if Array.length c.Cache.masks < words then
+      c.Cache.masks <- Array.make (max words (2 * Array.length c.Cache.masks)) 0;
+    Treediff_lcs.Bitpar.lcs_length ~masks:c.Cache.masks wa wb
+  end
+  else Treediff_lcs.Myers.lcs_length ~equal:Int.equal wa wb
+
 let distance_with cache a b =
   (* Equal strings tokenize identically, so the LCS is total and the
      distance is exactly 0 — skip the tokenization, which dominates the
@@ -98,7 +120,7 @@ let distance_with cache a b =
     let na = Array.length wa and nb = Array.length wb in
     if na = 0 && nb = 0 then 0.0
     else
-      let c = Treediff_lcs.Myers.lcs_length ~equal:Int.equal wa wb in
+      let c = lcs_length cache wa wb in
       float_of_int (na + nb - (2 * c)) /. float_of_int (max na nb)
   end
 

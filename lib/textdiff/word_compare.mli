@@ -9,11 +9,18 @@
     length); the [≤ f ≤ 1] matching threshold of Criterion 1 then demands
     that at least about half the words survive.
 
-    Tokenisation and word-interning results are memoized in a {!Cache}: an
-    explicit value, never module state.  {!distance} uses a per-domain
-    default cache (safe under domains, bounded by {!Cache.default_cap});
-    {!distance_in} scopes the cache to one execution context so a batch
-    task's memory is reclaimed with its context. *)
+    The LCS length comes from the bit-parallel
+    {!Treediff_lcs.Bitpar.lcs_length} over interned word ids whenever the
+    shorter sentence has at most {!Treediff_lcs.Bitpar.max_len} (62) words,
+    and from {!Treediff_lcs.Myers.lcs_length} when both are longer.  Both
+    are exact, so the distance is the same bit for bit either way.
+
+    Tokenisation and word-interning results, and the kernel's per-word mask
+    scratch, live in a {!Cache}: an explicit value, never module state.
+    {!distance} uses a per-domain default cache (safe under domains,
+    bounded by {!Cache.default_cap}); {!distance_in} scopes the cache to one
+    execution context so a batch task's memory is reclaimed with its
+    context. *)
 
 val words : string -> string array
 (** Tokenise on whitespace, lowercase, stripping punctuation at token edges.
@@ -21,8 +28,9 @@ val words : string -> string array
 
 module Cache : sig
   type t
-  (** Tokenization + interning memo tables.  Single-owner: do not share one
-      cache between domains. *)
+  (** Tokenization + interning memo tables, plus the LCS kernel's mask
+      scratch (one int per interned word, all zeros between calls).
+      Single-owner: do not share one cache between domains. *)
 
   val default_cap : int
   (** [65536] memoized strings; when exceeded the cache is flushed wholesale
@@ -34,7 +42,9 @@ module Cache : sig
 
   val clear : t -> unit
   (** Drop all memoized entries (explicit reuse point for long-lived
-      callers that want to bound retention, e.g. between corpus sets). *)
+      callers that want to bound retention, e.g. between corpus sets).
+      The zeroed mask scratch is kept: word ids restart from 0 and any
+      generation can use it. *)
 
   val size : t -> int
   (** Number of memoized strings. *)

@@ -22,7 +22,7 @@ let describe e =
 
 type t = {
   deadline_ms : float;           (* allowance, for rearm; infinity = none *)
-  mutable deadline : float;      (* absolute gettimeofday seconds *)
+  mutable deadline : float;      (* absolute Clock.now seconds *)
   mutable started : float;
   max_comparisons : int;         (* max_int = none *)
   max_nodes : int;
@@ -32,7 +32,7 @@ type t = {
   mutable phase : string;
 }
 
-let now () = Unix.gettimeofday ()
+let now () = Clock.now ()
 
 let make ?deadline_ms ?max_comparisons ?max_nodes ?max_depth () =
   let deadline_ms = Option.value deadline_ms ~default:infinity in

@@ -1,8 +1,8 @@
 (** Resource budgets for the diff pipeline.
 
-    A [Budget.t] carries the caller's limits — a wall-clock deadline, a cap
-    on matcher comparisons, and pre-flight caps on input size and depth —
-    plus the counters charged against them.  The matchers and the script
+    A [Budget.t] carries the caller's limits — a deadline on the monotonic
+    {!Clock}, a cap on matcher comparisons, and pre-flight caps on input
+    size and depth — plus the counters charged against them.  The matchers and the script
     generator call {!tick}/{!visit} at their hot-loop boundaries; when a
     limit trips, the structured {!Exceeded} exception reports which phase
     was running and how much work had been done, and {!Diff.diff_result}

@@ -170,6 +170,46 @@ let self_diff_prop =
       let r = Diff.diff t1 t2 in
       r.Diff.script = [])
 
+(* ------------------------------------------- word compare byte identity *)
+
+module Docgen = Treediff_workload.Docgen
+module Mutate = Treediff_workload.Mutate
+
+(* Generated revision pairs diffed with [treediff diff]'s criteria: the
+   shipped compare and the reference must give the same script bytes and
+   the same r1/r2 counts, near-duplicate sentences included. *)
+let test_word_compare_identity () =
+  let run compare t1 t2 =
+    let criteria =
+      Treediff_matching.Criteria.make ~leaf_f:0.5 ~internal_t:0.6 ~compare ()
+    in
+    let r = Diff.diff ~config:(Config.with_criteria criteria) t1 t2 in
+    let st = r.Diff.stats in
+    ( Treediff_edit.Script_io.to_string r.Diff.script,
+      st.Treediff_util.Stats.leaf_compares,
+      st.Treediff_util.Stats.partner_checks )
+  in
+  let dup p = { p with Docgen.duplicate_rate = 0.2 } in
+  List.iter
+    (fun (name, profile, actions) ->
+      for seed = 1 to 4 do
+        let g = P.create seed and gen = Tree.gen () in
+        let t1 = Docgen.generate g gen profile in
+        let t2, _ = Mutate.mutate g gen t1 ~actions in
+        let label = Printf.sprintf "%s seed %d" name seed in
+        let script, r1, r2 = run Treediff_textdiff.Word_compare.distance t1 t2 in
+        let script', r1', r2' = run Test_support.myers_word_distance t1 t2 in
+        Alcotest.(check string) (label ^ ": script bytes") script' script;
+        Alcotest.(check int) (label ^ ": leaf compares") r1' r1;
+        Alcotest.(check int) (label ^ ": partner checks") r2' r2
+      done)
+    [
+      ("small", Docgen.small, 5);
+      ("small dup", dup Docgen.small, 5);
+      ("medium", Docgen.medium, 15);
+      ("medium dup", dup Docgen.medium, 8);
+    ]
+
 let () =
   Alcotest.run "diff"
     [
@@ -183,6 +223,8 @@ let () =
           Alcotest.test_case "custom compare" `Quick test_config_with_compare;
           Alcotest.test_case "empty matching" `Quick test_diff_with_matching_empty;
           Alcotest.test_case "measure consistency" `Quick test_measure_consistency;
+          Alcotest.test_case "word compare byte identity" `Quick
+            test_word_compare_identity;
         ] );
       ( "merge",
         [

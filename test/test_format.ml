@@ -220,6 +220,32 @@ let test_lenient () =
           Alcotest.failf "%s: lenient mode failed to recover: %s" f.Format.name m)
     Format.all
 
+(* ------------------------------------------------ json \u surrogate pairs *)
+
+(* The decoded text of a JSON document that is one string literal. *)
+let json_text src =
+  match Format.json.Format.parse_result ~lenient:false (Tree.gen ()) src with
+  | Ok (n, _) -> n.Node.value
+  | Error m -> Alcotest.failf "json %s: %s" src m
+
+let test_json_surrogates () =
+  let check name src want =
+    let got = json_text src in
+    Alcotest.(check string) name want got;
+    Alcotest.(check bool) (name ^ ": valid UTF-8") true (String.is_valid_utf_8 got)
+  in
+  let fffd = "\xef\xbf\xbd" in
+  check "emoji pair" {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
+  check "pair in text" {|"a\ud83d\ude00b"|} "a\xf0\x9f\x98\x80b";
+  check "lone high" {|"\ud83d"|} fffd;
+  check "lone high then text" {|"\ud83dx"|} (fffd ^ "x");
+  check "lone low" {|"\ude00"|} fffd;
+  check "high then non-low" {|"\ud83dA"|} (fffd ^ "A");
+  check "high then non-low escape" {|"\ud83d\u0041"|} (fffd ^ "A");
+  check "high then high pair" {|"\ud83d\ud83d\ude00"|} (fffd ^ "\xf0\x9f\x98\x80");
+  check "low then high" {|"\ude00\ud83d"|} (fffd ^ fffd);
+  check "bmp escape" {|"\u00e9\u20ac"|} "\xc3\xa9\xe2\x82\xac"
+
 (* --------------------------------------------------- diff+check self-check *)
 
 let test_check_self () =
@@ -326,7 +352,7 @@ let req ?(id = 1) verb params = { Protocol.id; verb; params }
 let handle h r =
   match
     Handler.handle h ~queue_depth:0 ~pressure:Handler.Full ~draining:false
-      ~received_at:(Unix.gettimeofday ()) r
+      ~received_at:(Treediff_util.Clock.now ()) r
   with
   | Handler.Payload p -> Protocol.parse_response p
   | Handler.Shutdown p -> Protocol.parse_response p
@@ -460,6 +486,7 @@ let () =
         [
           Alcotest.test_case "parse/render round-trip" `Quick test_roundtrip;
           Alcotest.test_case "lenient recovery" `Quick test_lenient;
+          Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogates;
           Alcotest.test_case "treediff check self-check" `Quick test_check_self;
           Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
           Alcotest.test_case "store CLI fixtures" `Quick test_store_cli_fixtures;

@@ -1,6 +1,8 @@
-(* Tests for Treediff_lcs: Myers O(ND) LCS vs the DP oracle, plus Subseq. *)
+(* Tests for Treediff_lcs: Myers O(ND) LCS and the bit-parallel kernel vs
+   the DP oracle, plus Subseq. *)
 
 module Myers = Treediff_lcs.Myers
+module Bitpar = Treediff_lcs.Bitpar
 module Dp = Treediff_lcs.Dp
 module Subseq = Treediff_lcs.Subseq
 
@@ -86,6 +88,77 @@ let dp_consistency_prop =
       let a = Array.of_list la and b = Array.of_list lb in
       List.length (Dp.lcs ~equal:ieq a b) = Dp.lcs_length ~equal:ieq a b)
 
+(* ---------------------------------------------------------------- Bitpar *)
+
+let fresh_masks n = Array.make n 0
+
+let test_bitpar_known () =
+  let masks = fresh_masks 10 in
+  let check_len name a b expected =
+    Alcotest.(check int) name expected (Bitpar.lcs_length ~masks a b);
+    Alcotest.(check bool) (name ^ ": scratch zeroed") true
+      (Array.for_all (( = ) 0) masks)
+  in
+  check_len "identical" [| 1; 2; 3 |] [| 1; 2; 3 |] 3;
+  check_len "disjoint" [| 1; 2; 3 |] [| 4; 5; 6 |] 0;
+  check_len "classic" [| 1; 2; 3; 4; 5 |] [| 3; 4; 1; 2; 5 |] 3;
+  check_len "empty left" [||] [| 1 |] 0;
+  check_len "empty right" [| 1 |] [||] 0;
+  check_len "both empty" [||] [||] 0;
+  check_len "repeated" [| 1; 1; 1 |] [| 1; 1 |] 2;
+  check_len "longer side first" [| 0; 9; 1; 9; 2 |] [| 0; 1; 2 |] 3;
+  (* the shorter side at exactly max_len fills every bit below the sign *)
+  let full = Array.init Bitpar.max_len (fun i -> i mod 7) in
+  check_len "max_len identical" full full Bitpar.max_len;
+  check_len "max_len vs longer" full (Array.append [| 9 |] full) Bitpar.max_len
+
+let test_bitpar_rejects () =
+  let long = Array.make (Bitpar.max_len + 1) 0 in
+  Alcotest.check_raises "both sides over max_len"
+    (Invalid_argument "Bitpar.lcs_length: both sides exceed max_len") (fun () ->
+      ignore (Bitpar.lcs_length ~masks:(fresh_masks 1) long long))
+
+(* Lengths 0–130 on each side, with the edges of the kernel's range drawn
+   often: m = 0, 1, 61, 62 and the first length past it. *)
+let len_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, int_range 0 130);
+        (2, oneofl [ 0; 1; Bitpar.max_len - 1; Bitpar.max_len; Bitpar.max_len + 1 ]);
+      ])
+
+(* Small alphabets (1–6 symbols) so repeats are heavy and the LCS long. *)
+let tokens_gen =
+  QCheck2.Gen.(
+    int_range 1 6 >>= fun alpha ->
+    pair len_gen len_gen >>= fun (na, nb) ->
+    pair (array_size (return na) (int_bound (alpha - 1)))
+      (array_size (return nb) (int_bound (alpha - 1))))
+
+let print_tokens =
+  let arr a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  fun (a, b) -> Printf.sprintf "[|%s|] [|%s|]" (arr a) (arr b)
+
+(* Where the kernel applies it equals both reference algorithms and leaves
+   the scratch zeroed; past max_len on both sides it refuses, and the
+   caller's fallback (Myers) still equals the DP oracle. *)
+let bitpar_vs_references_prop =
+  QCheck2.Test.make ~name:"bitpar length = dp length = myers length" ~count:1000
+    ~print:print_tokens tokens_gen (fun (a, b) ->
+      let dp = Dp.lcs_length ~equal:ieq a b in
+      let myers = Myers.lcs_length ~equal:ieq a b in
+      let masks = fresh_masks 6 in
+      if min (Array.length a) (Array.length b) <= Bitpar.max_len then
+        Bitpar.lcs_length ~masks a b = dp
+        && myers = dp
+        && Array.for_all (( = ) 0) masks
+      else
+        myers = dp
+        && match Bitpar.lcs_length ~masks a b with
+           | _ -> false
+           | exception Invalid_argument _ -> true)
+
 (* ---------------------------------------------------------------- Subseq *)
 
 let test_subseq_known () =
@@ -141,6 +214,12 @@ let () =
           QCheck_alcotest.to_alcotest myers_vs_dp_prop;
           QCheck_alcotest.to_alcotest myers_increasing_prop;
           QCheck_alcotest.to_alcotest dp_consistency_prop;
+        ] );
+      ( "bitpar",
+        [
+          Alcotest.test_case "known cases" `Quick test_bitpar_known;
+          Alcotest.test_case "rejects long pairs" `Quick test_bitpar_rejects;
+          QCheck_alcotest.to_alcotest bitpar_vs_references_prop;
         ] );
       ( "subseq",
         [

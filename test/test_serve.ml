@@ -188,7 +188,7 @@ let diff_params ?deadline_ms () =
 let handle ?(pressure = Handler.Full) h r =
   match
     Handler.handle h ~queue_depth:0 ~pressure ~draining:false
-      ~received_at:(Unix.gettimeofday ()) r
+      ~received_at:(Treediff_util.Clock.now ()) r
   with
   | Handler.Payload p -> Protocol.parse_response p
   | Handler.Shutdown p -> Protocol.parse_response p
@@ -240,7 +240,7 @@ let test_handler_deadline () =
   let h = Handler.create () in
   (* a request that spent its whole allowance queued: typed deadline *)
   let r = req "diff" (diff_params ~deadline_ms:500. ()) in
-  let stale = Unix.gettimeofday () -. 10. in
+  let stale = Treediff_util.Clock.now () -. 10. in
   let answer =
     match
       Handler.handle h ~queue_depth:0 ~pressure:Handler.Full ~draining:false
@@ -258,8 +258,10 @@ let test_handler_deadline () =
     Alcotest.(check bool) "shed payload is typed deadline" true
       (err_kind (Protocol.parse_response payload) = Protocol.Deadline)
   | None -> Alcotest.fail "expired queue entry not shed");
-  match Handler.deadline_error h ~id:4 ~received_at:(Unix.gettimeofday ())
-          (req "diff" (diff_params ~deadline_ms:5000. ())) with
+  match
+    Handler.deadline_error h ~id:4 ~received_at:(Treediff_util.Clock.now ())
+      (req "diff" (diff_params ~deadline_ms:5000. ()))
+  with
   | None -> ()
   | Some _ -> Alcotest.fail "fresh request shed"
 
@@ -511,7 +513,9 @@ let contains s sub =
   go 0
 
 (* A listener that accepts and immediately hangs up: every call against it
-   is a transport error *after* the request frame went out. *)
+   is a transport error *after* the request frame went out.  A connection
+   is counted before it is closed: the close is what lets the client's
+   call return, so the count is complete by the time the test reads it. *)
 let with_hangup_server f =
   let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt srv Unix.SO_REUSEADDR true;
@@ -529,11 +533,10 @@ let with_hangup_server f =
         let rec loop () =
           match Unix.accept srv with
           | fd, _ ->
+            let stopping = Atomic.get stop in
+            if not stopping then Atomic.incr accepted;
             Unix.close fd;
-            if not (Atomic.get stop) then begin
-              Atomic.incr accepted;
-              loop ()
-            end
+            if not stopping then loop ()
           | exception Unix.Unix_error _ -> ()
         in
         loop ())

@@ -56,6 +56,45 @@ let distance_properties =
       && Float.abs (d -. W.distance s2 s1) < 1e-9
       && (d > 0.0 || W.words s1 = W.words s2))
 
+let reference_distance = Test_support.myers_word_distance
+
+(* Sentences of 0–150 words over a small vocabulary (heavy repeats, ASCII
+   case and punctuation variants, multibyte UTF-8 words), so pairs cross
+   the kernel's 62-word limit on one side, both sides or neither. *)
+let sentence_gen =
+  let vocab =
+    [| "the"; "The"; "cat,"; "hat"; "caf\xc3\xa9"; "d\xc3\xa9j\xc3\xa0"; "\xe2\x82\xac5";
+       "re-do"; "don't"; "x"; "42"; "(sat)"; "on"; "mat." |]
+  in
+  QCheck2.Gen.(
+    int_range 1 (Array.length vocab) >>= fun alpha ->
+    let word =
+      frequency
+        [
+          (9, map (fun i -> vocab.(i)) (int_bound (alpha - 1)));
+          (1, map (Printf.sprintf "w%d") (int_bound 5000));
+        ]
+    in
+    map (String.concat " ")
+      (list_size (frequency [ (3, int_bound 20); (2, int_range 55 70); (1, int_bound 150) ]) word))
+
+(* A one-entry cache flushes on every call, so word ids are reassigned
+   under the kernel's scratch table between calls; a long-lived cache grows
+   its scratch with the vocabulary (the rare "wN" words).  Distances must
+   not notice either, bit for bit. *)
+let distance_with_matches_reference =
+  let flushing = W.Cache.create ~cap:1 () and kept = W.Cache.create () in
+  QCheck2.Test.make ~name:"distance_with = words + Myers reference" ~count:1000
+    ~print:QCheck2.Print.(pair string string)
+    QCheck2.Gen.(pair sentence_gen sentence_gen)
+    (fun (a, b) ->
+      let want = reference_distance a b in
+      Float.equal (W.distance_with flushing a b) want
+      && Float.equal (W.distance_with flushing b a) (reference_distance b a)
+      && Float.equal (W.distance_with kept a b) want (* cold *)
+      && Float.equal (W.distance_with kept a b) want (* memoized *)
+      && Float.equal (W.distance a b) want)
+
 (* ------------------------------------------------------------ levenshtein *)
 
 let test_levenshtein_known () =
@@ -151,6 +190,7 @@ let () =
           Alcotest.test_case "range" `Quick test_distance_range;
           Alcotest.test_case "paper semantics" `Quick test_paper_semantics;
           QCheck_alcotest.to_alcotest distance_properties;
+          QCheck_alcotest.to_alcotest distance_with_matches_reference;
         ] );
       ( "levenshtein",
         [

@@ -4,6 +4,8 @@ module Vec = Treediff_util.Vec
 module Prng = Treediff_util.Prng
 module Stats = Treediff_util.Stats
 module Table = Treediff_util.Table
+module Clock = Treediff_util.Clock
+module Budget = Treediff_util.Budget
 
 let check = Alcotest.(check int)
 
@@ -185,6 +187,25 @@ let test_table_cells () =
   Alcotest.(check string) "float decimals" "3.1416" (Table.cell_float ~decimals:4 3.14159);
   Alcotest.(check string) "pct" "50.0%" (Table.cell_pct 0.5)
 
+(* ----------------------------------------------------------------- clock *)
+
+(* Deadlines read the monotonic clock: it never steps back, it advances
+   across a sleep, and a budget's remaining allowance follows it. *)
+let test_clock_monotonic () =
+  let t0 = Clock.now () in
+  let prev = ref t0 in
+  for _ = 1 to 10_000 do
+    let t = Clock.now () in
+    if t < !prev then Alcotest.failf "clock stepped back: %f < %f" t !prev;
+    prev := t
+  done;
+  Unix.sleepf 0.02;
+  Alcotest.(check bool) "advances across a sleep" true (Clock.now () -. t0 >= 0.019);
+  let b = Budget.make ~deadline_ms:60_000. () in
+  let left = Budget.remaining_ms b in
+  Alcotest.(check bool) "remaining within the allowance" true
+    (left <= 60_000. && left > 59_000.)
+
 let () =
   Alcotest.run "util"
     [
@@ -205,6 +226,7 @@ let () =
           Alcotest.test_case "chance extremes" `Quick test_prng_chance_extremes;
         ] );
       ("stats", [ Alcotest.test_case "counters" `Quick test_stats ]);
+      ("clock", [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ]);
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
