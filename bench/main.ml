@@ -1027,7 +1027,7 @@ let serve_diff_request ~id ~deadline_ms (old_s, new_s) =
         [
           ("old", Sjson.Str old_s);
           ("new", Sjson.Str new_s);
-          ("deadline_ms", Sjson.Num deadline_ms);
+          ("deadline_ms", Sjson.float deadline_ms);
         ];
   }
 

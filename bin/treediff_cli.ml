@@ -84,26 +84,16 @@ let write_out output text =
 
 (* ------------------------------------------------------------------ diff *)
 
-let render_result mode output (result : Treediff.Diff.t) =
-  let text =
-    match mode with
-    | "script" -> Treediff_edit.Script_io.to_string result.Treediff.Diff.script
-    | "delta" -> Treediff.Delta_io.to_string result.Treediff.Diff.delta ^ "\n"
-    | "stats" ->
-      let m = result.Treediff.Diff.measure in
-      Printf.sprintf
-        "ops: %d (ins %d, del %d, upd %d, mov %d)\ncost: %.2f\nweighted distance e: %d\n\
-         matching: %d pairs\ncomparisons: %d leaf compares, %d partner checks\n"
-        (Treediff_edit.Script.unweighted m)
-        m.Treediff_edit.Script.inserts m.Treediff_edit.Script.deletes
-        m.Treediff_edit.Script.updates m.Treediff_edit.Script.moves
-        m.Treediff_edit.Script.cost m.Treediff_edit.Script.weighted
-        (Treediff_matching.Matching.cardinal result.Treediff.Diff.matching)
-        result.Treediff.Diff.stats.Treediff_util.Stats.leaf_compares
-        result.Treediff.Diff.stats.Treediff_util.Stats.partner_checks
-    | m -> failwith (Printf.sprintf "unknown mode %S (script|delta|stats)" m)
-  in
-  write_out output text
+(* [-m] picks the machine-oriented modes and [--render] the human ones;
+   both print through the renderer the daemon answers with. *)
+module Render_diff = Treediff_doc.Render_diff
+
+let render_result mode output result =
+  match Render_diff.mode_of_name mode with
+  | Some (Render_diff.Script | Render_diff.Delta | Render_diff.Stats as m) ->
+    write_out output (Render_diff.render m result)
+  | Some _ | None ->
+    failwith (Printf.sprintf "unknown mode %S (script|delta|stats)" mode)
 
 let make_budget budget_ms max_comparisons max_nodes =
   if budget_ms = None && max_comparisons = None && max_nodes = None then None
@@ -118,11 +108,12 @@ let make_exec budget_ms max_comparisons max_nodes =
     (make_budget budget_ms max_comparisons max_nodes)
 
 (* Human-oriented renderings of the delta, orthogonal to [-m]. *)
-let render_delta kind (result : Treediff.Diff.t) =
-  match kind with
-  | "side-by-side" -> Treediff_doc.Render_align.render result.Treediff.Diff.delta
-  | "summary" -> Treediff_doc.Render_summary.render result.Treediff.Diff.delta
-  | r -> failwith (Printf.sprintf "unknown rendering %S (side-by-side|summary)" r)
+let render_delta kind result =
+  match Render_diff.mode_of_name kind with
+  | Some (Render_diff.Side_by_side | Render_diff.Summary as m) ->
+    Render_diff.render m result
+  | Some _ | None ->
+    failwith (Printf.sprintf "unknown rendering %S (side-by-side|summary)" kind)
 
 let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
     window sim_threshold sim_top_k mode render zs budget_ms max_comparisons
@@ -1256,7 +1247,7 @@ let run_remote verb old_file new_file host port mode deadline_ms approx
       | None -> [])
     @ [ ("mode", Sjson.Str mode) ]
     @ (match deadline_ms with
-      | Some ms -> [ ("deadline_ms", Sjson.Num ms) ]
+      | Some ms -> [ ("deadline_ms", Sjson.float ms) ]
       | None -> [])
     @ if approx then [ ("approx", Sjson.Bool true) ] else []
   in

@@ -1,5 +1,8 @@
 (** JSON front end — the semistructured-data direction of §9 on modern
-    wire data (compare the OEM mapping used by {!Xml_parser}).
+    wire data (compare the OEM mapping used by {!Xml_parser}).  The
+    characters are read by the repository's one JSON codec,
+    {!Treediff_util.Json}; this module is only the mapping and the
+    indented printer.
 
     Mapping to the label-value tree model:
     - an object becomes an [obj] node whose children are [member] nodes,
@@ -15,26 +18,19 @@
     data but may report matches between mutually nested labels as
     delete+insert. *)
 
-exception Parse_error of string
-
-val parse : Treediff_tree.Tree.gen -> string -> Treediff_tree.Node.t
-(** @raise Parse_error on malformed input (bad literals, unterminated
-    strings or containers, trailing garbage). *)
-
 val parse_result :
   ?lenient:bool ->
   Treediff_tree.Tree.gen ->
   string ->
   (Treediff_tree.Node.t * string list, string) result
-(** Non-raising front door.  With [lenient] (default [false]) common
-    near-JSON is recovered from — trailing commas, single-quoted strings,
-    unquoted object keys, containers and strings left open at end of
-    input, trailing garbage after the top value — and each recovery is
-    reported as a warning string alongside the tree.  Strict mode returns
-    [Error message] where {!parse} would raise. *)
+(** Read the source with {!Treediff_util.Json.parse_result} and map the
+    value onto the tree shape above.  [lenient] (default [false]) selects
+    the codec's recovery mode; each recovery comes back as a warning
+    string alongside the tree.  Strict mode returns [Error message] on
+    anything outside RFC 8259. *)
 
 val print : Treediff_tree.Node.t -> string
-(** Serialize a tree built by {!parse} (or hand-built in the same shape)
-    back to indented JSON.  [parse] ∘ [print] is the identity up to node
+(** Serialize a tree built by {!parse_result} (or hand-built in the same shape)
+    back to indented JSON.  [parse_result] ∘ [print] is the identity up to node
     identifiers.
     @raise Invalid_argument on labels outside the JSON shape. *)

@@ -13,6 +13,7 @@ module Line_diff = Treediff_textdiff.Line_diff
 module Store = Treediff_store.Store
 module Shard = Treediff_store.Shard
 module Doc_format = Treediff_doc.Format
+module Render_diff = Treediff_doc.Render_diff
 
 type pressure = Full | Forced_approx | Flat_only
 
@@ -165,27 +166,14 @@ let parse_tree_param ~gen ?(fmt = Doc_format.sexp) ?(lenient = false) name
 
 (* ------------------------------------------------------------ diff verb *)
 
+(* The requested output mode: its name is echoed in the answer and keyed in
+   the cache; the rendering is {!Render_diff}'s, the code the CLI prints
+   with. *)
 let render_mode params =
-  match Json.mem_str "mode" params with
-  | None -> "script"
-  | Some (("script" | "delta" | "stats" | "side-by-side" | "summary") as m) ->
-    m
-  | Some m -> raise (Bad_params (Printf.sprintf "unknown mode %S" m))
-
-let render_result mode (result : Diff.t) =
-  match mode with
-  | "script" -> Script_io.to_string result.Diff.script
-  | "delta" -> Treediff.Delta_io.to_string result.Diff.delta ^ "\n"
-  | "side-by-side" -> Treediff_doc.Render_align.render result.Diff.delta
-  | "summary" -> Treediff_doc.Render_summary.render result.Diff.delta
-  | "stats" ->
-    let m = result.Diff.measure in
-    Printf.sprintf
-      "ops: %d (ins %d, del %d, upd %d, mov %d)\ncost: %.2f\nweighted distance e: %d\nmatching: %d pairs\n"
-      (Script.unweighted m) m.Script.inserts m.Script.deletes m.Script.updates
-      m.Script.moves m.Script.cost m.Script.weighted
-      (Treediff_matching.Matching.cardinal result.Diff.matching)
-  | m -> raise (Bad_params (Printf.sprintf "unknown mode %S" m))
+  let name = Option.value ~default:"script" (Json.mem_str "mode" params) in
+  match Render_diff.mode_of_name name with
+  | Some mode -> (name, mode)
+  | None -> raise (Bad_params (Printf.sprintf "unknown mode %S" name))
 
 (* Same defaults as the [treediff diff] CLI — word-LCS leaf comparison with
    the paper's f=0.5/t=0.6 thresholds — so the daemon and the local tool
@@ -242,7 +230,7 @@ let flat_output t1 t2 =
 
 let run_diff t ~pressure ~deadline_ms req =
   let params = req.Protocol.params in
-  let mode = render_mode params in
+  let mode_name, mode = render_mode params in
   let fmt = format_of_params params in
   let lenient = lenient_of_params params in
   let gen = Treediff_tree.Tree.gen () in
@@ -262,13 +250,13 @@ let run_diff t ~pressure ~deadline_ms req =
   end
   else begin
     let config = diff_config ~pressure params in
-    let key = cache_key ~mode ~config t1 t2 in
+    let key = cache_key ~mode:mode_name ~config t1 t2 in
     match cache_find t key with
     | Some output ->
       Ok
         (Json.Obj
            [
-             ("mode", Json.Str mode);
+             ("mode", Json.Str mode_name);
              ("output", Json.Str output);
              ("degraded", Json.Null);
              ("forced",
@@ -279,7 +267,7 @@ let run_diff t ~pressure ~deadline_ms req =
       let exec = Exec.create ~budget:(Budget.make ~deadline_ms ()) () in
       match Diff.diff_result ~config ~exec t1 t2 with
       | Ok result ->
-        let output = render_result mode result in
+        let output = Render_diff.render mode result in
         if cacheable result then cache_put t key output;
         let degraded =
           match result.Diff.degraded with
@@ -291,10 +279,10 @@ let run_diff t ~pressure ~deadline_ms req =
         Ok
           (Json.Obj
              [
-               ("mode", Json.Str mode);
+               ("mode", Json.Str mode_name);
                ("output", Json.Str output);
                ("degraded", degraded);
-               ("ops", Json.Num (float_of_int (Script.unweighted result.Diff.measure)));
+               ("ops", Json.int (Script.unweighted result.Diff.measure));
                ("forced",
                 if pressure = Forced_approx then Json.Str "approx" else Json.Null);
                ("cached", Json.Bool false);
@@ -314,7 +302,7 @@ let run_diff t ~pressure ~deadline_ms req =
 
 let run_batch t ~pressure ~deadline_ms req =
   let params = req.Protocol.params in
-  let mode = render_mode params in
+  let _, mode = render_mode params in
   let pairs_json =
     match Option.bind (Json.member "pairs" params) Json.arr with
     | Some l -> l
@@ -357,8 +345,8 @@ let run_batch t ~pressure ~deadline_ms req =
              [
                ("status",
                 Json.Str (match r.Diff.degraded with None -> "ok" | Some _ -> "degraded"));
-               ("ops", Json.Num (float_of_int (Script.unweighted r.Diff.measure)));
-               ("output", Json.Str (render_result mode r));
+               ("ops", Json.int (Script.unweighted r.Diff.measure));
+               ("output", Json.Str (Render_diff.render mode r));
              ]
            in
            (match r.Diff.degraded with
@@ -376,9 +364,9 @@ let run_batch t ~pressure ~deadline_ms req =
   Ok
     (Json.Obj
        [
-         ("pairs", Json.Num (float_of_int (Array.length pairs)));
-         ("degraded", Json.Num (float_of_int n_degraded));
-         ("failed", Json.Num (float_of_int (Treediff.Batch.failed_count outcomes)));
+         ("pairs", Json.int (Array.length pairs));
+         ("degraded", Json.int n_degraded);
+         ("failed", Json.int (Treediff.Batch.failed_count outcomes));
          ("results", Json.Arr results);
        ])
 
@@ -408,7 +396,7 @@ let run_check ~deadline_ms req =
        [
          ("diagnostics",
           Json.Arr (List.map (fun d -> Json.Str (Diag.to_string d)) diags));
-         ("errors", Json.Num (float_of_int (List.length (Diag.errors diags))));
+         ("errors", Json.int (List.length (Diag.errors diags)));
          ("summary", Json.Str (Diag.summary diags));
        ])
 
@@ -508,10 +496,10 @@ let with_store t ~budget params f =
 let entry_json (e : Store.entry) =
   Json.Obj
     [
-      ("version", Json.Num (float_of_int e.Store.version));
+      ("version", Json.int e.Store.version);
       ("kind", Json.Str (Store.kind_name e.Store.kind));
-      ("ops", Json.Num (float_of_int e.Store.ops));
-      ("bytes", Json.Num (float_of_int e.Store.bytes));
+      ("ops", Json.int e.Store.ops);
+      ("bytes", Json.int e.Store.bytes);
       ("hash", Json.Str (Printf.sprintf "%016Lx" e.Store.hash));
     ]
 
@@ -526,7 +514,7 @@ let run_store t ~budget verb req =
           Ok
             (Json.Obj
                [
-                 ("versions", Json.Num (float_of_int (Store.versions store)));
+                 ("versions", Json.int (Store.versions store));
                  ("truncated_tail", Json.Bool (Store.truncated_tail store));
                  ("entries", Json.Arr (List.map entry_json (Store.log store)));
                ])
@@ -537,7 +525,7 @@ let run_store t ~budget verb req =
               (Json.Obj
                  [
                    ("doc", Json.Str doc);
-                   ("versions", Json.Num (float_of_int (List.length entries)));
+                   ("versions", Json.int (List.length entries));
                    ("entries", Json.Arr (List.map entry_json entries));
                  ])
           | Error msg -> store_err msg)
@@ -554,16 +542,14 @@ let run_store t ~budget verb req =
                            [
                              ("doc", Json.Str d);
                              ("versions",
-                              Json.Num
-                                (float_of_int (Shard.versions corpus d)));
+                              Json.int (Shard.versions corpus d));
                              ("shard",
-                              Json.Num
-                                (float_of_int (Shard.shard_of corpus d)));
+                              Json.int (Shard.shard_of corpus d));
                            ])
                        (Shard.docs corpus)));
                  ("versions",
-                  Json.Num (float_of_int (Shard.total_versions corpus)));
-                 ("shards", Json.Num (float_of_int (Shard.shards corpus)));
+                  Json.int (Shard.total_versions corpus));
+                 ("shards", Json.int (Shard.shards corpus));
                ]))
   | "store/materialize" ->
     with_store t ~budget params (fun ~exec handle ->
@@ -630,33 +616,33 @@ let stats_body t ~queue_depth ~draining =
   Json.Obj
     [
       ("uptime_ms",
-       Json.Num ((Clock.now () -. t.started_at) *. 1000.));
-      ("queue_depth", Json.Num (float_of_int queue_depth));
+       Json.float ((Clock.now () -. t.started_at) *. 1000.));
+      ("queue_depth", Json.int queue_depth);
       ("draining", Json.Bool draining);
-      ("served", Json.Num (float_of_int t.served));
-      ("ok", Json.Num (float_of_int t.ok));
-      ("degraded", Json.Num (float_of_int t.degraded));
-      ("internal_errors", Json.Num (float_of_int t.internal));
-      ("shed", Json.Num (float_of_int t.shed));
-      ("bad_requests", Json.Num (float_of_int t.bad));
+      ("served", Json.int t.served);
+      ("ok", Json.int t.ok);
+      ("degraded", Json.int t.degraded);
+      ("internal_errors", Json.int t.internal);
+      ("shed", Json.int t.shed);
+      ("bad_requests", Json.int t.bad);
       ("cache",
        Json.Obj
          [
-           ("entries", Json.Num (float_of_int (Cache.length t.cache)));
-           ("capacity", Json.Num (float_of_int (Cache.capacity t.cache)));
-           ("hits", Json.Num (float_of_int (Cache.hits t.cache)));
-           ("misses", Json.Num (float_of_int (Cache.misses t.cache)));
-           ("evictions", Json.Num (float_of_int (Cache.evictions t.cache)));
-           ("faults_absorbed", Json.Num (float_of_int t.cache_faults));
+           ("entries", Json.int (Cache.length t.cache));
+           ("capacity", Json.int (Cache.capacity t.cache));
+           ("hits", Json.int (Cache.hits t.cache));
+           ("misses", Json.int (Cache.misses t.cache));
+           ("evictions", Json.int (Cache.evictions t.cache));
+           ("faults_absorbed", Json.int t.cache_faults);
          ]);
       ("store_handles",
        Json.Obj
          [
-           ("entries", Json.Num (float_of_int (Cache.length t.stores)));
-           ("capacity", Json.Num (float_of_int (Cache.capacity t.stores)));
-           ("hits", Json.Num (float_of_int t.store_hits));
-           ("misses", Json.Num (float_of_int t.store_misses));
-           ("evictions", Json.Num (float_of_int (Cache.evictions t.stores)));
+           ("entries", Json.int (Cache.length t.stores));
+           ("capacity", Json.int (Cache.capacity t.stores));
+           ("hits", Json.int t.store_hits);
+           ("misses", Json.int t.store_misses);
+           ("evictions", Json.int (Cache.evictions t.stores));
          ]);
     ]
 

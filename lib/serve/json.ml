@@ -1,353 +1,3 @@
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-(* ------------------------------------------------------------- printing *)
-
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
-let rec write buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Num f -> Buffer.add_string buf (number_to_string f)
-  | Str s -> escape buf s
-  | Arr items ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        write buf v)
-      items;
-    Buffer.add_char buf ']'
-  | Obj members ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        escape buf k;
-        Buffer.add_char buf ':';
-        write buf v)
-      members;
-    Buffer.add_char buf '}'
-
-let to_string v =
-  let buf = Buffer.create 256 in
-  write buf v;
-  Buffer.contents buf
-
-(* -------------------------------------------------------------- parsing *)
-
-exception Bad of int * string
-
-(* Recursive-descent over the raw string; [pos] is a byte offset carried in
-   error messages.  Depth of recursion follows input nesting — frames are
-   size-capped by the protocol layer, so hostile deep nesting is bounded
-   there. *)
-type state = { src : string; mutable pos : int }
-
-let error st msg = raise (Bad (st.pos, msg))
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let skip_ws st =
-  let n = String.length st.src in
-  while
-    st.pos < n
-    && (match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-  do
-    advance st
-  done
-
-let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> error st (Printf.sprintf "expected %C, found %C" c c')
-  | None -> error st (Printf.sprintf "expected %C, found end of input" c)
-
-let literal st word value =
-  let n = String.length word in
-  if
-    st.pos + n <= String.length st.src
-    && String.sub st.src st.pos n = word
-  then (
-    st.pos <- st.pos + n;
-    value)
-  else error st (Printf.sprintf "expected %s" word)
-
-let hex_digit st c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> error st "bad \\u escape digit"
-
-(* \uXXXX escapes decode to UTF-8 bytes; surrogate pairs are combined when
-   both halves are present (a lone surrogate becomes U+FFFD). *)
-let add_utf8 buf cp =
-  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-  else if cp < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else if cp < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-
-let parse_u16 st =
-  let d () =
-    match peek st with
-    | Some c ->
-      advance st;
-      hex_digit st c
-    | None -> error st "truncated \\u escape"
-  in
-  let a = d () in
-  let b = d () in
-  let c = d () in
-  let e = d () in
-  (a lsl 12) lor (b lsl 8) lor (c lsl 4) lor e
-
-let parse_string st =
-  expect st '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> error st "unterminated string"
-    | Some '"' ->
-      advance st;
-      Buffer.contents buf
-    | Some '\\' -> (
-      advance st;
-      match peek st with
-      | None -> error st "truncated escape"
-      | Some c ->
-        advance st;
-        (match c with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          (* every unpaired surrogate half — a lone low, a high with no
-             \u-escape following, or a high whose partner is not a low —
-             becomes U+FFFD so the output is always well-formed UTF-8 *)
-          let rec emit_u16 u =
-            if u >= 0xDC00 && u <= 0xDFFF then add_utf8 buf 0xFFFD
-            else if u < 0xD800 || u > 0xDBFF then add_utf8 buf u
-            else if
-              st.pos + 1 < String.length st.src
-              && st.src.[st.pos] = '\\'
-              && st.src.[st.pos + 1] = 'u'
-            then begin
-              st.pos <- st.pos + 2;
-              let lo = parse_u16 st in
-              if lo >= 0xDC00 && lo <= 0xDFFF then
-                add_utf8 buf (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
-              else begin
-                add_utf8 buf 0xFFFD;
-                (* [lo] may itself be a high surrogate starting a pair *)
-                emit_u16 lo
-              end
-            end
-            else add_utf8 buf 0xFFFD
-          in
-          emit_u16 (parse_u16 st)
-        | c -> error st (Printf.sprintf "bad escape \\%c" c));
-        loop ())
-    | Some c when Char.code c < 0x20 -> error st "raw control byte in string"
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      loop ()
-  in
-  loop ()
-
-let parse_number st =
-  let start = st.pos in
-  let n = String.length st.src in
-  let digits () =
-    let saw = ref false in
-    while
-      st.pos < n && match st.src.[st.pos] with '0' .. '9' -> true | _ -> false
-    do
-      saw := true;
-      advance st
-    done;
-    if not !saw then error st "expected digit"
-  in
-  if peek st = Some '-' then advance st;
-  (* RFC 8259: no leading zeros — "01" is two tokens, i.e. malformed *)
-  (match peek st with
-  | Some '0' -> (
-    advance st;
-    match peek st with
-    | Some '0' .. '9' -> error st "leading zero"
-    | _ -> ())
-  | Some '1' .. '9' -> digits ()
-  | _ -> error st "expected digit");
-  if peek st = Some '.' then begin
-    advance st;
-    digits ()
-  end;
-  (match peek st with
-  | Some ('e' | 'E') ->
-    advance st;
-    (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-    digits ()
-  | _ -> ());
-  let text = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> Num f
-  | None -> error st (Printf.sprintf "bad number %S" text)
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> error st "unexpected end of input"
-  | Some 'n' -> literal st "null" Null
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some '"' -> Str (parse_string st)
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some '[' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some ']' then begin
-      advance st;
-      Arr []
-    end
-    else begin
-      let rec items acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          items (v :: acc)
-        | Some ']' ->
-          advance st;
-          List.rev (v :: acc)
-        | _ -> error st "expected ',' or ']'"
-      in
-      Arr (items [])
-    end
-  | Some '{' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some '}' then begin
-      advance st;
-      Obj []
-    end
-    else begin
-      let member () =
-        skip_ws st;
-        let k = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        (k, v)
-      in
-      let rec members acc =
-        let kv = member () in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          members (kv :: acc)
-        | Some '}' ->
-          advance st;
-          List.rev (kv :: acc)
-        | _ -> error st "expected ',' or '}'"
-      in
-      Obj (members [])
-    end
-  | Some c -> error st (Printf.sprintf "unexpected %C" c)
-
-let parse src =
-  let st = { src; pos = 0 } in
-  match
-    let v = parse_value st in
-    skip_ws st;
-    if st.pos < String.length src then error st "trailing input";
-    v
-  with
-  | v -> Ok v
-  | exception Bad (pos, msg) ->
-    Error (Printf.sprintf "json: at byte %d: %s" pos msg)
-
-(* ------------------------------------------------------------- equality *)
-
-let rec equal a b =
-  match (a, b) with
-  | Null, Null -> true
-  | Bool a, Bool b -> a = b
-  | Num a, Num b -> a = b
-  | Str a, Str b -> String.equal a b
-  | Arr a, Arr b -> List.length a = List.length b && List.for_all2 equal a b
-  | Obj a, Obj b ->
-    List.length a = List.length b
-    && List.for_all2
-         (fun (ka, va) (kb, vb) -> String.equal ka kb && equal va vb)
-         a b
-  | (Null | Bool _ | Num _ | Str _ | Arr _ | Obj _), _ -> false
-
-(* ------------------------------------------------------------ accessors *)
-
-let member name = function
-  | Obj members -> List.assoc_opt name members
-  | Null | Bool _ | Num _ | Str _ | Arr _ -> None
-
-let str = function Str s -> Some s | _ -> None
-
-let num = function Num f -> Some f | _ -> None
-
-let bool = function Bool b -> Some b | _ -> None
-
-let arr = function Arr items -> Some items | _ -> None
-
-let bind o f = Option.bind o f
-
-let mem_str name v = bind (member name v) str
-
-let mem_num name v = bind (member name v) num
-
-let mem_bool name v = bind (member name v) bool
+(* The daemon's frame codec is the repository's one JSON codec; this alias
+   keeps the [Treediff_serve.Json] name working for existing callers. *)
+include Treediff_util.Json

@@ -96,7 +96,7 @@ let parse_request payload =
 let request_to_json r =
   Json.Obj
     [
-      ("id", Json.Num (float_of_int r.id));
+      ("id", Json.int r.id);
       ("verb", Json.Str r.verb);
       ("params", r.params);
     ]
@@ -130,7 +130,7 @@ type response =
 
 let ok_payload ~id body =
   Json.to_string
-    (Json.Obj [ ("id", Json.Num (float_of_int id)); ("ok", body) ])
+    (Json.Obj [ ("id", Json.int id); ("ok", body) ])
 
 let error_payload ~id ?retry_after_ms kind message =
   let fields =
@@ -140,10 +140,10 @@ let error_payload ~id ?retry_after_ms kind message =
     @
     match retry_after_ms with
     | None -> []
-    | Some ms -> [ ("retry_after_ms", Json.Num ms) ]
+    | Some ms -> [ ("retry_after_ms", Json.float ms) ]
   in
   Json.to_string
-    (Json.Obj [ ("id", Json.Num (float_of_int id)); ("error", Json.Obj fields) ])
+    (Json.Obj [ ("id", Json.int id); ("error", Json.Obj fields) ])
 
 let parse_response payload =
   match Json.parse payload with

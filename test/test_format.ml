@@ -23,6 +23,7 @@ module Store = Treediff_store.Store
 module Json = Treediff_serve.Json
 module Protocol = Treediff_serve.Protocol
 module Handler = Treediff_serve.Handler
+module Prng = Treediff_util.Prng
 
 (* ---------------------------------------------------------- cli helpers *)
 (* Same conventions as test_cli.ml: binaries live at ../bin relative to the
@@ -135,19 +136,24 @@ let pair (f : Format.t) =
     (f.Format.render t1, f.Format.render t2)
   end
 
-(* Malformed input that strict mode must reject; for [caps.lenient]
-   formats, lenient mode must repair it and say so. *)
+(* Malformed inputs that strict mode must reject; for [caps.lenient]
+   formats, lenient mode must repair each and say so. *)
 let broken (f : Format.t) =
-  if f == Format.sexp then "(D (P"
-  else if f == Format.xml then "<doc><p>alpha" (* unclosed elements at EOF *)
+  if f == Format.sexp then [ "(D (P" ]
+  else if f == Format.xml then [ "<doc><p>alpha" (* unclosed elements at EOF *) ]
   else if f == Format.html then
-    "</ul>\n<h1>T</h1>\n<p>One sentence.</p>\n" (* stray closing tag *)
+    [ "</ul>\n<h1>T</h1>\n<p>One sentence.</p>\n" (* stray closing tag *) ]
   else if f == Format.latex then
-    "\\section{Intro\n\nAlpha beta.\n" (* unbalanced section-title group *)
-  else if f == Format.json then {|{port: 7433}|} (* bare key *)
+    [ "\\section{Intro\n\nAlpha beta.\n" (* unbalanced section-title group *) ]
+  else if f == Format.json then
+    [
+      {|{port: 7433}|} (* bare key *);
+      "[01]" (* leading zero *);
+      "[\"a\tb\"]" (* raw control byte inside a string *);
+    ]
   else if f == Format.markdown then
-    "## Orphan\n\nBody text here.\n" (* subsection outside any section *)
-  else "not a binary codec stream"
+    [ "## Orphan\n\nBody text here.\n" (* subsection outside any section *) ]
+  else [ "not a binary codec stream" ]
 
 let rec same_structure (a : Node.t) (b : Node.t) =
   String.equal a.Node.label b.Node.label
@@ -204,23 +210,51 @@ let test_roundtrip () =
 let test_lenient () =
   List.iter
     (fun (f : Format.t) ->
-      let src = broken f in
-      (match f.Format.parse_result ~lenient:false (Tree.gen ()) src with
-      | Ok _ -> Alcotest.failf "%s: strict mode accepted malformed input" f.Format.name
-      | Error _ -> ());
-      match f.Format.parse_result ~lenient:true (Tree.gen ()) src with
-      | Ok (_, warnings) ->
-        if not f.Format.caps.Format.lenient then
-          Alcotest.failf "%s: repaired input without advertising caps.lenient"
-            f.Format.name;
-        Alcotest.(check bool) (f.Format.name ^ " lenient repair warns") true
-          (warnings <> [])
-      | Error m ->
-        if f.Format.caps.Format.lenient then
-          Alcotest.failf "%s: lenient mode failed to recover: %s" f.Format.name m)
+      List.iter
+        (fun src ->
+          let what = Printf.sprintf "%s %S" f.Format.name src in
+          (match f.Format.parse_result ~lenient:false (Tree.gen ()) src with
+          | Ok _ -> Alcotest.failf "%s: strict mode accepted malformed input" what
+          | Error _ -> ());
+          match f.Format.parse_result ~lenient:true (Tree.gen ()) src with
+          | Ok (_, warnings) ->
+            if not f.Format.caps.Format.lenient then
+              Alcotest.failf "%s: repaired input without advertising caps.lenient"
+                what;
+            Alcotest.(check bool) (what ^ " lenient repair warns") true
+              (warnings <> [])
+          | Error m ->
+            if f.Format.caps.Format.lenient then
+              Alcotest.failf "%s: lenient mode failed to recover: %s" what m)
+        (broken f))
     Format.all
 
 (* ------------------------------------------------ json \u surrogate pairs *)
+
+(* One case table for both JSON entry points — the document front end and
+   the daemon's request frames read through the same codec.  Pairs
+   combine; every unpaired half comes out as U+FFFD (ef bf bd), never as
+   raw surrogate bytes (invalid UTF-8). *)
+let surrogate_cases =
+  let fffd = "\xef\xbf\xbd" in
+  [
+    ("emoji pair", {|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80");
+    ("emoji pair, upper-case hex", {|"\uD83D\uDE00"|}, "\xf0\x9f\x98\x80");
+    ("pair in text", {|"a\ud83d\ude00b"|}, "a\xf0\x9f\x98\x80b");
+    ("lone high", {|"\ud83d"|}, fffd);
+    ("lone high then text", {|"\ud83dx"|}, fffd ^ "x");
+    ("lone high D800 then text", {|"\uD800x"|}, fffd ^ "x");
+    ("lone low", {|"\ude00"|}, fffd);
+    ("lone low DC00", {|"\uDC00"|}, fffd);
+    ("high then non-low", {|"\ud83dA"|}, fffd ^ "A");
+    ("high then non-low escape", {|"\ud83d\u0041"|}, fffd ^ "A");
+    ("high D800 then non-low escape", {|"\uD800\u0041"|}, fffd ^ "A");
+    ("high then high pair", {|"\ud83d\ud83d\ude00"|}, fffd ^ "\xf0\x9f\x98\x80");
+    ("high D800 then high pair", {|"\uD800\uD800\uDC00"|},
+     fffd ^ "\xf0\x90\x80\x80");
+    ("low then high", {|"\ude00\ud83d"|}, fffd ^ fffd);
+    ("bmp escape", {|"\u00e9\u20ac"|}, "\xc3\xa9\xe2\x82\xac");
+  ]
 
 (* The decoded text of a JSON document that is one string literal. *)
 let json_text src =
@@ -228,23 +262,124 @@ let json_text src =
   | Ok (n, _) -> n.Node.value
   | Error m -> Alcotest.failf "json %s: %s" src m
 
+(* The same literal decoded as a request parameter. *)
+let frame_text src =
+  match
+    Protocol.parse_request
+      (Printf.sprintf {|{"id":1,"verb":"diff","params":{"s":%s}}|} src)
+  with
+  | Ok r -> (
+    match Json.mem_str "s" r.Protocol.params with
+    | Some s -> s
+    | None -> Alcotest.failf "frame %s: no string param" src)
+  | Error m -> Alcotest.failf "frame %s: %s" src m
+
 let test_json_surrogates () =
-  let check name src want =
-    let got = json_text src in
-    Alcotest.(check string) name want got;
-    Alcotest.(check bool) (name ^ ": valid UTF-8") true (String.is_valid_utf_8 got)
+  List.iter
+    (fun (name, src, want) ->
+      List.iter
+        (fun (entry, got) ->
+          let name = Printf.sprintf "%s (%s)" name entry in
+          Alcotest.(check string) name want got;
+          Alcotest.(check bool) (name ^ ": valid UTF-8") true
+            (String.is_valid_utf_8 got))
+        [ ("document", json_text src); ("frame", frame_text src) ])
+    surrogate_cases
+
+(* ------------------------------------------------- json mutation fuzz *)
+
+(* Seeded byte mutations: each mutant takes one to four edits —
+   overwrite, insert or delete one byte, or truncate — drawing new bytes
+   mostly from JSON's own punctuation so mutants stay near the grammar. *)
+let mutate g src =
+  let bytes = "{}[]:,\"'\\u0aeE.+-9tfn \t\n\x00\x1f\x7f\xc3\xff" in
+  let byte () =
+    if Prng.chance g 0.8 then bytes.[Prng.int g (String.length bytes)]
+    else Char.chr (Prng.int g 256)
   in
-  let fffd = "\xef\xbf\xbd" in
-  check "emoji pair" {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
-  check "pair in text" {|"a\ud83d\ude00b"|} "a\xf0\x9f\x98\x80b";
-  check "lone high" {|"\ud83d"|} fffd;
-  check "lone high then text" {|"\ud83dx"|} (fffd ^ "x");
-  check "lone low" {|"\ude00"|} fffd;
-  check "high then non-low" {|"\ud83dA"|} (fffd ^ "A");
-  check "high then non-low escape" {|"\ud83d\u0041"|} (fffd ^ "A");
-  check "high then high pair" {|"\ud83d\ud83d\ude00"|} (fffd ^ "\xf0\x9f\x98\x80");
-  check "low then high" {|"\ude00\ud83d"|} (fffd ^ fffd);
-  check "bmp escape" {|"\u00e9\u20ac"|} "\xc3\xa9\xe2\x82\xac"
+  let edit s =
+    let n = String.length s in
+    let i = Prng.int g (n + 1) in
+    match Prng.int g 8 with
+    | 0 | 1 | 2 when i < n ->
+      String.mapi (fun j c -> if j = i then byte () else c) s
+    | 3 | 4 | 5 -> String.sub s 0 i ^ String.make 1 (byte ()) ^ String.sub s i (n - i)
+    | 6 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | _ -> String.sub s 0 i
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (edit s) in
+  go (Prng.int_in g 1 4) src
+
+(* Strict parsing only answers [Ok]/[Error]; a lenient parse either fails
+   or yields a tree whose render re-parses strictly to the same structure
+   and renders to the same bytes again. *)
+let check_document src =
+  (match Format.json.Format.parse_result ~lenient:false (Tree.gen ()) src with
+  | Ok _ | Error _ -> ());
+  match Format.json.Format.parse_result ~lenient:true (Tree.gen ()) src with
+  | Error _ -> ()
+  | Ok (t, _) -> (
+    let out = Format.json.Format.render t in
+    match Format.json.Format.parse_result ~lenient:false (Tree.gen ()) out with
+    | Error m -> Alcotest.failf "lenient %S rendered %S, rejected: %s" src out m
+    | Ok (t', _) ->
+      if not (same_structure t t') then
+        Alcotest.failf "lenient %S: render %S re-parses differently" src out;
+      if not (String.equal out (Format.json.Format.render t')) then
+        Alcotest.failf "lenient %S: render %S is not a fixpoint" src out)
+
+(* The frame side: strict decoding of a mutated payload or a mutated whole
+   frame (length prefix included) never raises, and a lenient value prints
+   to text that re-parses strictly to an equal value. *)
+let check_frame frame payload =
+  let f = Protocol.Framer.create () in
+  Protocol.Framer.feed f frame;
+  let rec drain () =
+    match Protocol.Framer.next f with
+    | Ok (Some p) ->
+      ignore (Protocol.parse_request p);
+      drain ()
+    | Ok None | Error _ -> ()
+  in
+  drain ();
+  ignore (Protocol.parse_request payload);
+  match Json.parse_result ~lenient:true payload with
+  | Error _ -> ()
+  | Ok (v, _) -> (
+    match Json.parse (Json.to_string v) with
+    | Ok v' when Json.equal v v' -> ()
+    | Ok _ -> Alcotest.failf "lenient %S: printed value re-parses differently" payload
+    | Error m -> Alcotest.failf "lenient %S: printed value rejected: %s" payload m)
+
+let test_json_fuzz () =
+  let docs = [ read_file (fixture "service.old.json"); read_file (fixture "service.new.json") ] in
+  let payloads =
+    List.map
+      (fun (old_src, new_src) ->
+        Json.to_string
+          (Protocol.request_to_json
+             {
+               Protocol.id = 1;
+               verb = "diff";
+               params =
+                 Json.Obj
+                   [
+                     ("old", Json.Str old_src);
+                     ("new", Json.Str new_src);
+                     ("format", Json.Str "json");
+                     ("deadline_ms", Json.float 250.5);
+                   ];
+             }))
+      [ (json_old, json_new); (List.hd docs, List.nth docs 1) ]
+  in
+  let g = Prng.create 20261017 in
+  for _ = 1 to 4000 do
+    check_document (mutate g (Prng.pick_list g docs))
+  done;
+  for _ = 1 to 4000 do
+    let payload = Prng.pick_list g payloads in
+    check_frame (mutate g (Protocol.encode_frame payload)) (mutate g payload)
+  done
 
 (* --------------------------------------------------- diff+check self-check *)
 
@@ -446,6 +581,52 @@ let test_serve_render_modes () =
   Alcotest.(check bool) "serve summary nonempty" true
     (String.length (String.trim (diff "summary")) > 0)
 
+(* One renderer serves both entry points, so [treediff diff -m stats] and
+   the daemon's [mode: "stats"] answer print the same bytes for every
+   example pair (the comparison counters included). *)
+let test_stats_parity () =
+  let h = Handler.create () in
+  let dir = Filename.dirname (fixture "x") in
+  let olds =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> contains ~sub:".old." n)
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "example pairs found" true (olds <> []);
+  List.iter
+    (fun name ->
+      let ext = Filename.extension name in
+      let stem = Filename.chop_suffix name (".old" ^ ext) in
+      let fmt =
+        match ext with
+        | ".md" -> Format.markdown
+        | ".tex" -> Format.latex
+        | e -> Format.find_exn (String.sub e 1 (String.length e - 1))
+      in
+      let o = Filename.concat dir name
+      and n = Filename.concat dir (stem ^ ".new" ^ ext) in
+      let code, cli =
+        run (Printf.sprintf "%s diff -f %s -m stats %s %s" (bin "treediff_cli")
+               fmt.Format.name o n)
+      in
+      Alcotest.(check int) (name ^ " CLI exit 0") 0 code;
+      let body =
+        ok_body
+          (handle h
+             (req "diff"
+                (Json.Obj
+                   [
+                     ("old", Json.Str (read_file o));
+                     ("new", Json.Str (read_file n));
+                     ("format", Json.Str fmt.Format.name);
+                     ("mode", Json.Str "stats");
+                   ])))
+      in
+      match Json.mem_str "output" body with
+      | Some out -> Alcotest.(check string) (name ^ " stats parity") cli out
+      | None -> Alcotest.failf "%s: no output member" name)
+    olds
+
 (* The fixture walkthrough the README documents: markdown summary names the
    moved section, json check verifies. *)
 let test_fixture_walkthrough () =
@@ -487,6 +668,7 @@ let () =
           Alcotest.test_case "parse/render round-trip" `Quick test_roundtrip;
           Alcotest.test_case "lenient recovery" `Quick test_lenient;
           Alcotest.test_case "json surrogate pairs" `Quick test_json_surrogates;
+          Alcotest.test_case "json mutation fuzz" `Quick test_json_fuzz;
           Alcotest.test_case "treediff check self-check" `Quick test_check_self;
           Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
           Alcotest.test_case "store CLI fixtures" `Quick test_store_cli_fixtures;
@@ -498,6 +680,7 @@ let () =
           Alcotest.test_case "render modes via CLI" `Quick test_cli_render_modes;
           Alcotest.test_case "render modes via daemon" `Quick
             test_serve_render_modes;
+          Alcotest.test_case "stats mode, CLI and daemon" `Quick test_stats_parity;
           Alcotest.test_case "fixture walkthrough" `Quick test_fixture_walkthrough;
         ] );
     ]

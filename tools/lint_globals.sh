@@ -62,5 +62,22 @@ if [ -n "$bad" ]; then
   status=1
 fi
 
+# @lint one-json-codec
+# The repository has one JSON lexer/printer, Treediff_util.Json
+# (lib/util/json.ml); the daemon's frames and the JSON document front end
+# both read through it.  A second copy drifts — unpaired-surrogate
+# handling was once fixed in one lexer only — so the fingerprints of JSON
+# string coding, \u%04x escape emission and the surrogate-range
+# constants, may appear nowhere else in lib/ or bin/.
+bad=$(grep -rn -i -E 'u%04x|0xD800|0xDC00' "$root/lib" "$root/bin" \
+        --include='*.ml' --include='*.mli' \
+      | grep -v '/lib/util/json\.ml:' || true)
+bad=$(filter_allowed "$bad")
+if [ -n "$bad" ]; then
+  echo 'lint_globals: JSON string coding outside lib/util/json.ml (use Treediff_util.Json):' >&2
+  printf '%s\n' "$bad" >&2
+  status=1
+fi
+
 if [ "$status" -ne 0 ]; then exit "$status"; fi
 echo 'lint_globals: ok'
