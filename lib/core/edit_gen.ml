@@ -253,8 +253,7 @@ let delete_phase st =
       if not (Matching.matched_old st.m n.id) then emit st (Op.Delete { id = n.id }))
     order
 
-let validate_input ~matching t1 t2 =
-  let idx1 = Index.build t1 and idx2 = Index.build t2 in
+let validate_input ~matching idx1 idx2 =
   List.iter
     (fun (xid, yid) ->
       match (Index.node_of_id idx1 xid, Index.node_of_id idx2 yid) with
@@ -281,8 +280,15 @@ let generate ?exec ~matching t1 t2 =
   in
   let budget = Treediff_util.Exec.budget ex in
   Treediff_util.Budget.set_phase budget "edit_gen";
-  validate_input ~matching t1 t2;
-  let next_id = ref (max (Tree.max_id t1) (Tree.max_id t2) + 1) in
+  (* The pair's indexes, when a criteria ctx on this exec already built
+     them for these very trees. *)
+  let idx1, idx2 =
+    match Treediff_matching.Criteria.pair_indexes ex ~t1 ~t2 with
+    | Some p -> p
+    | None -> (Index.build t1, Index.build t2)
+  in
+  validate_input ~matching idx1 idx2;
+  let next_id = ref (max (Index.max_id idx1) (Index.max_id idx2) + 1) in
   let m = Matching.copy matching in
   let roots_matched = Matching.mem m t1.Node.id t2.Node.id in
   (* Build the working tree and the effective T2, dummy-rooting both when the
@@ -304,7 +310,7 @@ let generate ?exec ~matching t1 t2 =
     {
       w_root;
       w_index = Tree.index_by_id w_root;
-      t2_index = Index.build t2_eff;
+      t2_index = (if t2_eff == t2 then idx2 else Index.build t2_eff);
       m;
       in_order1 = Hashtbl.create 64;
       in_order2 = Hashtbl.create 64;

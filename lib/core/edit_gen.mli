@@ -45,6 +45,13 @@ val generate :
     context — unlimited budget, faults armed from the environment) supplies
     the budget, charged one visit per BFS step and per delete-phase node, so
     a wall-clock deadline also bounds script generation.
+
+    {b Index reuse.}  When a {!Treediff_matching.Criteria.ctx} was built on
+    [exec] for these very trees (its indexes' roots are physically [t1] and
+    [t2]; see {!Treediff_matching.Criteria.pair_indexes}), generation reuses
+    that ctx's two indexes, to validate the matching and, when no dummy root
+    is added, as the T2 index.  Otherwise it indexes [t1] and [t2] itself.
+    The script is the same either way.
     @raise Treediff_check.Diag.Failed if [matching] references unknown ids or
     matches nodes with different labels (updates cannot change labels).
     @raise Treediff_util.Budget.Exceeded on deadline expiry. *)

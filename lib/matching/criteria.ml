@@ -3,6 +3,7 @@ module Index = Treediff_tree.Index
 module Stats = Treediff_util.Stats
 module Budget = Treediff_util.Budget
 module Exec = Treediff_util.Exec
+module Word_compare = Treediff_textdiff.Word_compare
 
 type t = {
   leaf_f : float;
@@ -28,15 +29,18 @@ let default = make ()
    instead of a subtree walk — O(1) amortized per comparison. *)
 type common_entry = { mutable stamp : int; mutable partners : int array }
 
-(* Memo for [crit.compare] keyed by the pair of interned value ids (argument
-   order preserved, so asymmetric compare functions stay correct).  The
-   compare callback is required to be pure, so reusing a result is exact —
-   and on versioned documents the same sentence pairs are probed thousands
-   of times by the chain LCS.  Dense float array (nan = empty) when the
-   vocabulary is small, hashtable otherwise. *)
-type cmp_store = Cmp_dense of float array | Cmp_sparse of (int, float) Hashtbl.t
+(* Leaf-value distance by interned value id.  The value interner is shared
+   by the pair's two indexes, so one id names one string on either side.
+   When the criteria's compare is [Word_compare.distance] (recognised by
+   physical equality) each distinct value is tokenized once per ctx, on
+   first use, and the distance runs on the word-id arrays: the arithmetic
+   of [Word_compare.distance_with], so equal bit for bit, without its
+   per-call string lookups.  Any other compare is called on the strings. *)
+type leaf_distance =
+  | Strings
+  | Words of { vocab : Word_compare.Vocab.t; tokens : int array array }
 
-let cmp_dense_max = 1 lsl 20 (* entries; 8 MB of floats at most *)
+let untokenized : int array = [| -1 |] (* sentinel, compared with [==] *)
 
 type ctx = {
   crit : t;
@@ -46,54 +50,67 @@ type ctx = {
   idx1 : Index.t;
   idx2 : Index.t;
   common_cache : common_entry array; (* indexed by T1 preorder rank *)
-  nvalues : int; (* value-interner size at build: the memo's key stride *)
-  cmp_store : cmp_store;
+  leaf_distance : leaf_distance;
 }
+
+let indexes_key : (Index.t * Index.t) Exec.Key.t =
+  Exec.Key.create "criteria.indexes"
+
+let pair_indexes ex ~t1 ~t2 =
+  match Exec.find ex indexes_key with
+  | Some ((idx1, idx2) as p) when Index.root idx1 == t1 && Index.root idx2 == t2
+    ->
+    Some p
+  | Some _ | None -> None
 
 let ctx ?exec crit ~t1 ~t2 =
   let ex = match exec with Some e -> e | None -> Exec.create () in
   let stats = Exec.stats ex and bgt = Exec.budget ex in
   let idx1, idx2 = Index.pair ~t1 ~t2 () in
+  Exec.set ex indexes_key (idx1, idx2);
   let common_cache =
     Array.init (Index.size idx1) (fun _ -> { stamp = -1; partners = [||] })
   in
-  let nvalues = Index.Interner.count (Index.value_interner idx1) in
-  let cmp_store =
-    if nvalues > 0 && nvalues <= cmp_dense_max / nvalues then
-      Cmp_dense (Array.make (nvalues * nvalues) nan)
-    else Cmp_sparse (Hashtbl.create 1024)
+  let leaf_distance =
+    if crit.compare == Word_compare.distance then
+      let nvalues = Index.Interner.count (Index.value_interner idx1) in
+      Words
+        {
+          vocab = Word_compare.Vocab.create ();
+          tokens = Array.make nvalues untokenized;
+        }
+    else Strings
   in
-  { crit; ex; st = stats; bgt; idx1; idx2; common_cache; nvalues; cmp_store }
+  { crit; ex; st = stats; bgt; idx1; idx2; common_cache; leaf_distance }
 
-(* Interned value id of a node, whichever side of the pair it is on; [-1]
-   for nodes outside the indexed pair (the memo is skipped for those). *)
-let vid_of c (n : Node.t) =
-  let r = Index.rank_of_id c.idx1 n.id in
-  if r >= 0 then Index.value_id c.idx1 r
-  else
-    let r = Index.rank_of_id c.idx2 n.id in
-    if r >= 0 then Index.value_id c.idx2 r else -1
+(* Preorder rank of a node in one side's index; [-1] for a node that is not
+   that index's own (an id shared with the other tree, or a foreign node). *)
+let rank_in idx (n : Node.t) =
+  let r = Index.rank_of_id idx n.id in
+  if r >= 0 && Index.node idx r == n then r else -1
 
-let compare_vids c va vb a b =
-  if va < 0 || vb < 0 then c.crit.compare a b
-  else
-    let k = (va * c.nvalues) + vb in
-    match c.cmp_store with
-    | Cmp_dense arr ->
-      let d = arr.(k) in
-      if Float.is_nan d then begin
-        let d = c.crit.compare a b in
-        arr.(k) <- d;
-        d
-      end
-      else d
-    | Cmp_sparse tbl -> (
-      match Hashtbl.find_opt tbl k with
-      | Some d -> d
-      | None ->
-        let d = c.crit.compare a b in
-        Hashtbl.replace tbl k d;
-        d)
+let vid_in idx n =
+  let r = rank_in idx n in
+  if r >= 0 then Index.value_id idx r else -1
+
+let tokens_of vocab tokens v s =
+  let t = tokens.(v) in
+  if t != untokenized then t
+  else begin
+    let t = Word_compare.Vocab.tokenize vocab s in
+    tokens.(v) <- t;
+    t
+  end
+
+(* [compare a b] for values with ids [va], [vb] ([-1]: not indexed). *)
+let value_distance c va vb a b =
+  match c.leaf_distance with
+  | Words { vocab; tokens } when va >= 0 && vb >= 0 ->
+    if va = vb then 0.0
+    else
+      Word_compare.distance_tokens vocab (tokens_of vocab tokens va a)
+        (tokens_of vocab tokens vb b)
+  | Words _ | Strings -> c.crit.compare a b
 
 let exec c = c.ex
 
@@ -113,20 +130,22 @@ let index1 c = c.idx1
 
 let index2 c = c.idx2
 
-let leaf_count c (n : Node.t) =
-  let r1 = Index.rank_of_id c.idx1 n.id in
-  if r1 >= 0 then Index.leaf_count c.idx1 r1
-  else
-    let r2 = Index.rank_of_id c.idx2 n.id in
-    if r2 >= 0 then Index.leaf_count c.idx2 r2
-    else Node.leaf_count n (* node outside the indexed pair; degrade gracefully *)
+let leaf_count_in idx n =
+  let r = rank_in idx n in
+  if r >= 0 then Index.leaf_count idx r
+  else Node.leaf_count n (* node outside the index; degrade gracefully *)
+
+let leaf_count c n =
+  let r1 = rank_in c.idx1 n in
+  if r1 >= 0 then Index.leaf_count c.idx1 r1 else leaf_count_in c.idx2 n
 
 let equal_leaf c (x : Node.t) (y : Node.t) =
   String.equal x.label y.label
   &&
   (c.st.Stats.leaf_compares <- c.st.Stats.leaf_compares + 1;
    Budget.tick c.bgt;
-   compare_vids c (vid_of c x) (vid_of c y) x.value y.value <= c.crit.leaf_f)
+   value_distance c (vid_in c.idx1 x) (vid_in c.idx2 y) x.value y.value
+   <= c.crit.leaf_f)
 
 (* Out-of-index fallback: the seed's subtree walk, containment via the T2
    interval when y is indexed (a foreign y contains no indexed partner). *)
@@ -200,7 +219,7 @@ let common c m (x : Node.t) (y : Node.t) =
 let equal_internal c m (x : Node.t) (y : Node.t) =
   String.equal x.label y.label
   &&
-  let nx = leaf_count c x and ny = leaf_count c y in
+  let nx = leaf_count_in c.idx1 x and ny = leaf_count_in c.idx2 y in
   let cm = common c m x y in
   float_of_int cm /. float_of_int (max nx ny) > c.crit.internal_t
 
@@ -217,9 +236,7 @@ let equal_nodes c m x y =
 let mc3_violating_leaves c ~old_side =
   let mine, theirs = if old_side then (c.idx1, c.idx2) else (c.idx2, c.idx1) in
   (* Per label: the other side's distinct leaf values with multiplicities —
-     duplicated sentences hit [compare] once instead of once per copy, and
-     the memo then shares results with every leaf of [mine] holding the same
-     value. *)
+     duplicated sentences hit [compare] once instead of once per copy. *)
   let bucket_of lid =
     let chain = Index.leaf_chain theirs lid in
     let counts = Hashtbl.create 16 in
@@ -245,18 +262,29 @@ let mc3_violating_leaves c ~old_side =
       Hashtbl.replace buckets lid b;
       b
   in
+  (* Close-counterpart count per (label, value) of [mine]: leaves sharing
+     both share the answer, so each distinct pair is compared once. *)
+  let closes = Hashtbl.create 64 in
+  let close_count lid xv s =
+    match Hashtbl.find_opt closes (lid, xv) with
+    | Some n -> n
+    | None ->
+      let n =
+        Array.fold_left
+          (fun acc (v, s', mult) ->
+            if value_distance c xv v s s' <= 1.0 then acc + mult else acc)
+          0 (bucket lid)
+      in
+      Hashtbl.replace closes (lid, xv) n;
+      n
+  in
   let violating = ref [] in
   let ls = Index.leaves mine in
   for i = Array.length ls - 1 downto 0 do
     let r = ls.(i) in
     let x = Index.node mine r in
-    let xv = Index.value_id mine r in
-    let close = ref 0 in
-    Array.iter
-      (fun (v, s, mult) ->
-        if compare_vids c xv v x.Node.value s <= 1.0 then close := !close + mult)
-      (bucket (Index.label_id mine r));
-    if !close >= 2 then violating := x :: !violating
+    if close_count (Index.label_id mine r) (Index.value_id mine r) x.Node.value >= 2
+    then violating := x :: !violating
   done;
   !violating
 

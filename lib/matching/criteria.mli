@@ -15,14 +15,25 @@
     §8 experiments report.  {!common} additionally memoizes, per T1 node,
     the sorted T2 preorder ranks of its leaves' partners — stamped with the
     {!Matching.version} — so repeated Criterion 2 tests against different
-    candidates cost two binary searches instead of a subtree walk. *)
+    candidates cost two binary searches instead of a subtree walk.
+
+    Leaf values are interned by the pair's shared value interner, and a
+    node's value id is looked up on its own side: [x] in T1's index, [y] in
+    T2's, so trees whose node ids overlap are still told apart.  When the
+    compare is {!Treediff_textdiff.Word_compare.distance} (recognised by
+    physical equality; the compare the CLI, daemon, LaDiff and the
+    benchmark pass), the context tokenizes each distinct value once, on
+    first use, into a word-id array, and computes the distance on the
+    arrays with {!Treediff_textdiff.Word_compare.distance_tokens}: the same
+    result bit for bit, with equal value ids answering [0] at once.  Any
+    other compare is called on the two strings for every test. *)
 
 type t = {
   leaf_f : float;       (** parameter f of Matching Criterion 1 *)
   internal_t : float;   (** parameter t of Matching Criterion 2 *)
   compare : string -> string -> float;
   (** leaf-value distance in [\[0,2\]]; must be a pure function of its
-      arguments — a {!ctx} memoizes results per distinct value pair *)
+      arguments *)
 }
 
 val default : t
@@ -43,7 +54,11 @@ val ctx : ?exec:Treediff_util.Exec.t -> t ->
     (default: a fresh [Exec.create ()], i.e. unlimited budget and faults
     armed from the environment).  Every leaf compare and partner check
     charges one comparison against the exec's budget, so any matcher driven
-    through this context is deadline- and cap-bounded. *)
+    through this context is deadline- and cap-bounded.
+
+    The pair's two indexes are also left in [exec]'s memo slots, where
+    {!pair_indexes} finds them (EditScript reuses them instead of indexing
+    the same trees again).  A later [ctx] on the same exec replaces them. *)
 
 val exec : ctx -> Treediff_util.Exec.t
 
@@ -66,11 +81,18 @@ val index1 : ctx -> Treediff_tree.Index.t
 
 val index2 : ctx -> Treediff_tree.Index.t
 
+val pair_indexes : Treediff_util.Exec.t -> t1:Treediff_tree.Node.t ->
+  t2:Treediff_tree.Node.t -> (Treediff_tree.Index.t * Treediff_tree.Index.t) option
+(** The indexes the last {!ctx} built on this exec, when their roots are
+    physically [t1] and [t2]; [None] when no ctx ran on the exec or it
+    indexed a different pair.  The trees must not have been mutated since
+    that ctx was built. *)
+
 val equal_leaf : ctx -> Treediff_tree.Node.t -> Treediff_tree.Node.t -> bool
-(** Criterion 1 test; counts one leaf-compare when labels agree.  The
-    [compare] result is memoized per distinct (interned) value pair, so the
-    chain LCS's repeated probes of the same sentences cost one array read
-    after the first call. *)
+(** Criterion 1 test on a T1 leaf [x] and a T2 leaf [y]; counts one
+    leaf-compare (and one budget tick) when labels agree, and then runs the
+    compare: on prepared token arrays for the word-LCS compare (see above),
+    on the value strings otherwise. *)
 
 val common : ctx -> Matching.t -> Treediff_tree.Node.t -> Treediff_tree.Node.t -> int
 (** [common ctx m x y] is [|common(x,y)|] under the current matching [m]:
@@ -85,7 +107,7 @@ val equal_nodes : ctx -> Matching.t -> Treediff_tree.Node.t -> Treediff_tree.Nod
     mixed → false. *)
 
 val leaf_count : ctx -> Treediff_tree.Node.t -> int
-(** Cached [|x|]. *)
+(** Cached [|x|] of a node of either tree. *)
 
 val mc3_violating_leaves : ctx -> old_side:bool -> Treediff_tree.Node.t list
 (** Leaves of the given side with ≥ 2 close counterparts ([compare <= 1])

@@ -40,24 +40,63 @@ let words s =
   done;
   out
 
+(* Word interning for the LCS: word strings become dense int ids, so the
+   kernel's probes are integer comparisons.  [masks] is the bit-parallel
+   kernel's per-word scratch: indexed by word id, grown with the interner,
+   all zeros between calls, and kept across [clear] (ids restart from 0,
+   and a zeroed table serves any generation). *)
+module Vocab = struct
+  type t = { ids : (string, int) Hashtbl.t; mutable masks : int array }
+
+  let create () = { ids = Hashtbl.create 256; masks = Array.make 256 0 }
+
+  let size v = Hashtbl.length v.ids
+
+  let clear v = Hashtbl.reset v.ids
+
+  let intern v w =
+    match Hashtbl.find_opt v.ids w with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length v.ids in
+      Hashtbl.replace v.ids w i;
+      i
+
+  let tokenize v s = Array.map (intern v) (words s)
+end
+
+(* Word LCS length: the bit-parallel kernel whenever the shorter sentence
+   fits one machine word (every word id is below the interner's size, so a
+   table that long covers both sides); Myers' O(ND) otherwise. *)
+let lcs_length (v : Vocab.t) wa wb =
+  if min (Array.length wa) (Array.length wb) <= Treediff_lcs.Bitpar.max_len
+  then begin
+    let words = Vocab.size v in
+    if Array.length v.masks < words then
+      v.masks <- Array.make (max words (2 * Array.length v.masks)) 0;
+    Treediff_lcs.Bitpar.lcs_length ~masks:v.masks wa wb
+  end
+  else Treediff_lcs.Myers.lcs_length ~equal:Int.equal wa wb
+
+let distance_tokens v wa wb =
+  let na = Array.length wa and nb = Array.length wb in
+  if na = 0 && nb = 0 then 0.0
+  else
+    let c = lcs_length v wa wb in
+    float_of_int (na + nb - (2 * c)) /. float_of_int (max na nb)
+
 (* Tokenization memo: [words] is a pure function and versioned documents
-   compare the same sentences over and over (the chain LCS in FastMatch
-   probes each pair of nearby sentences), so cache token arrays per input
-   string.  Words are interned to ints on the way in, making the LCS probes
-   integer comparisons.  The cache is flushed wholesale when oversized; both
-   tables are generation-consistent because the flush happens only before
-   either string of a call is looked up.
+   compare the same sentences over and over, so cache token arrays per
+   input string.  The cache is flushed wholesale when oversized; the token
+   table and the vocabulary are generation-consistent because the flush
+   happens only before either string of a call is looked up.
 
    Caches are values, not module state: each execution context (or domain)
-   owns its own, so concurrent diffs never share a table.  That includes
-   [masks], the bit-parallel LCS kernel's per-word scratch: indexed by word
-   id, grown with the interner, all zeros between calls, and kept across
-   [clear] (ids restart from 0, and a zeroed table serves any generation). *)
+   owns its own, so concurrent diffs never share a table. *)
 module Cache = struct
   type t = {
     token_tbl : (string, int array) Hashtbl.t;
-    word_ids : (string, int) Hashtbl.t;
-    mutable masks : int array;
+    vocab : Vocab.t;
     cap : int;
   }
 
@@ -65,49 +104,23 @@ module Cache = struct
 
   let create ?(cap = default_cap) () =
     if cap < 1 then invalid_arg "Word_compare.Cache.create: cap < 1";
-    {
-      token_tbl = Hashtbl.create 1024;
-      word_ids = Hashtbl.create 1024;
-      masks = Array.make 1024 0;
-      cap;
-    }
+    { token_tbl = Hashtbl.create 1024; vocab = Vocab.create (); cap }
 
   let clear c =
     Hashtbl.reset c.token_tbl;
-    Hashtbl.reset c.word_ids
+    Vocab.clear c.vocab
 
   let size c = Hashtbl.length c.token_tbl
   let cap c = c.cap
 end
 
-let intern_word c w =
-  match Hashtbl.find_opt c.Cache.word_ids w with
-  | Some i -> i
-  | None ->
-    let i = Hashtbl.length c.Cache.word_ids in
-    Hashtbl.replace c.Cache.word_ids w i;
-    i
-
 let tokens c s =
   match Hashtbl.find_opt c.Cache.token_tbl s with
   | Some a -> a
   | None ->
-    let a = Array.map (intern_word c) (words s) in
+    let a = Vocab.tokenize c.Cache.vocab s in
     Hashtbl.replace c.Cache.token_tbl s a;
     a
-
-(* Word LCS length: the bit-parallel kernel whenever the shorter sentence
-   fits one machine word (every word id is below the interner's size, so a
-   table that long covers both sides); Myers' O(ND) otherwise. *)
-let lcs_length c wa wb =
-  if min (Array.length wa) (Array.length wb) <= Treediff_lcs.Bitpar.max_len
-  then begin
-    let words = Hashtbl.length c.Cache.word_ids in
-    if Array.length c.Cache.masks < words then
-      c.Cache.masks <- Array.make (max words (2 * Array.length c.Cache.masks)) 0;
-    Treediff_lcs.Bitpar.lcs_length ~masks:c.Cache.masks wa wb
-  end
-  else Treediff_lcs.Myers.lcs_length ~equal:Int.equal wa wb
 
 let distance_with cache a b =
   (* Equal strings tokenize identically, so the LCS is total and the
@@ -117,11 +130,7 @@ let distance_with cache a b =
   else begin
     if Cache.size cache > cache.Cache.cap then Cache.clear cache;
     let wa = tokens cache a and wb = tokens cache b in
-    let na = Array.length wa and nb = Array.length wb in
-    if na = 0 && nb = 0 then 0.0
-    else
-      let c = lcs_length cache wa wb in
-      float_of_int (na + nb - (2 * c)) /. float_of_int (max na nb)
+    distance_tokens cache.Cache.vocab wa wb
   end
 
 (* The default [distance] keeps its historical closure-friendly signature by

@@ -15,27 +15,53 @@
     and from {!Treediff_lcs.Myers.lcs_length} when both are longer.  Both
     are exact, so the distance is the same bit for bit either way.
 
-    Tokenisation and word-interning results, and the kernel's per-word mask
-    scratch, live in a {!Cache}: an explicit value, never module state.
-    {!distance} uses a per-domain default cache (safe under domains,
-    bounded by {!Cache.default_cap}); {!distance_in} scopes the cache to one
-    execution context so a batch task's memory is reclaimed with its
-    context. *)
+    Word interning and the kernel's per-word mask scratch live in a
+    {!Vocab}; string-keyed token memoization on top of it lives in a
+    {!Cache}.  Both are explicit values, never module state.  {!distance}
+    uses a per-domain default cache (safe under domains, bounded by
+    {!Cache.default_cap}); {!distance_in} scopes the cache to one execution
+    context so a batch task's memory is reclaimed with its context.
+
+    Callers that compare the same strings many times and can name them by
+    a dense id tokenize each string once with {!Vocab.tokenize} and call
+    {!distance_tokens} on the arrays, skipping the per-call string lookups
+    (the matching criteria do this per interned leaf value).  The result is
+    the same bit for bit: {!distance_with} itself runs {!distance_tokens}. *)
 
 val words : string -> string array
 (** Tokenise on whitespace, lowercase, stripping punctuation at token edges.
     [words "The cat, the hat!"] = [[|"the"; "cat"; "the"; "hat"|]]. *)
 
+module Vocab : sig
+  type t
+  (** Word interner (word string -> dense id) plus the LCS kernel's mask
+      scratch (one int per interned word, all zeros between calls).
+      Token arrays are comparable only under the vocabulary that made
+      them.  Single-owner: do not share one vocabulary between domains. *)
+
+  val create : unit -> t
+
+  val size : t -> int
+  (** Number of interned words. *)
+
+  val tokenize : t -> string -> int array
+  (** [words s] with each word replaced by its id, interning new words. *)
+end
+
+val distance_tokens : Vocab.t -> int array -> int array -> float
+(** The word-LCS distance of two token arrays made by {!Vocab.tokenize}
+    under the same vocabulary: [(n₁ + n₂ − 2c) / max(n₁, n₂)], and [0] for
+    two empty arrays. *)
+
 module Cache : sig
   type t
-  (** Tokenization + interning memo tables, plus the LCS kernel's mask
-      scratch (one int per interned word, all zeros between calls).
+  (** String-keyed token-array memo over its own {!Vocab}.
       Single-owner: do not share one cache between domains. *)
 
   val default_cap : int
   (** [65536] memoized strings; when exceeded the cache is flushed wholesale
-      before the next lookup (both tables together, keeping interned ids
-      generation-consistent). *)
+      before the next lookup (token table and vocabulary together, keeping
+      interned ids generation-consistent). *)
 
   val create : ?cap:int -> unit -> t
   (** Fresh empty cache.  @raise Invalid_argument if [cap < 1]. *)

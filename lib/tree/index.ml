@@ -176,6 +176,8 @@ let rank_of_id t id =
 
 let mem_id t id = rank_of_id t id >= 0
 
+let max_id t = Array.length t.rank_of - 1
+
 let node_of_id t id =
   let r = rank_of_id t id in
   if r < 0 then None else Some t.nodes.(r)

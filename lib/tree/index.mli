@@ -64,6 +64,10 @@ val rank_of_id : t -> int -> int
 
 val mem_id : t -> int -> bool
 
+val max_id : t -> int
+(** Largest node id in the tree ([Tree.max_id] of the root, without a
+    walk). *)
+
 val node_of_id : t -> int -> Node.t option
 
 val last : t -> int -> int

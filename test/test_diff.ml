@@ -175,11 +175,15 @@ let self_diff_prop =
 module Docgen = Treediff_workload.Docgen
 module Mutate = Treediff_workload.Mutate
 
-(* Generated revision pairs diffed with [treediff diff]'s criteria: the
-   shipped compare and the reference must give the same script bytes and
-   the same r1/r2 counts, near-duplicate sentences included. *)
+(* Generated revision pairs diffed with [treediff diff]'s criteria, in the
+   benchmark's nine strata (size x few/many/duplicate-sentence edits).
+   The shipped [Word_compare.distance], which a criteria ctx runs on
+   per-value token arrays, and the same function behind a closure, which
+   the ctx cannot recognise and so calls on the strings, must both give the
+   plain Myers reference's script bytes and r1/r2 counts, and must agree
+   with each other on the Criterion 3 count. *)
 let test_word_compare_identity () =
-  let run compare t1 t2 =
+  let run ?(mc3 = false) compare t1 t2 =
     let criteria =
       Treediff_matching.Criteria.make ~leaf_f:0.5 ~internal_t:0.6 ~compare ()
     in
@@ -187,27 +191,44 @@ let test_word_compare_identity () =
     let st = r.Diff.stats in
     ( Treediff_edit.Script_io.to_string r.Diff.script,
       st.Treediff_util.Stats.leaf_compares,
-      st.Treediff_util.Stats.partner_checks )
+      st.Treediff_util.Stats.partner_checks,
+      if mc3 then
+        Treediff_matching.Criteria.mc3_violations
+          (Treediff_matching.Criteria.ctx criteria ~t1 ~t2)
+      else -1 )
   in
   let dup p = { p with Docgen.duplicate_rate = 0.2 } in
+  let distance = Treediff_textdiff.Word_compare.distance in
   List.iter
-    (fun (name, profile, actions) ->
-      for seed = 1 to 4 do
+    (fun (name, profile, (lo, hi), seeds) ->
+      for seed = 1 to seeds do
         let g = P.create seed and gen = Tree.gen () in
         let t1 = Docgen.generate g gen profile in
-        let t2, _ = Mutate.mutate g gen t1 ~actions in
+        let t2, _ = Mutate.mutate g gen t1 ~actions:(P.int_in g lo hi) in
         let label = Printf.sprintf "%s seed %d" name seed in
-        let script, r1, r2 = run Treediff_textdiff.Word_compare.distance t1 t2 in
-        let script', r1', r2' = run Test_support.myers_word_distance t1 t2 in
-        Alcotest.(check string) (label ^ ": script bytes") script' script;
-        Alcotest.(check int) (label ^ ": leaf compares") r1' r1;
-        Alcotest.(check int) (label ^ ": partner checks") r2' r2
+        let script', r1', r2', _ = run Test_support.myers_word_distance t1 t2 in
+        let strings = run ~mc3:true (fun a b -> distance a b) t1 t2 in
+        let tokens = run ~mc3:true distance t1 t2 in
+        List.iter
+          (fun (path, (script, r1, r2, _)) ->
+            let label = label ^ " (" ^ path ^ ")" in
+            Alcotest.(check string) (label ^ ": script bytes") script' script;
+            Alcotest.(check int) (label ^ ": leaf compares") r1' r1;
+            Alcotest.(check int) (label ^ ": partner checks") r2' r2)
+          [ ("strings", strings); ("token arrays", tokens) ];
+        let _, _, _, mc3 = tokens and _, _, _, mc3' = strings in
+        Alcotest.(check int) (label ^ ": MC3 violations") mc3' mc3
       done)
     [
-      ("small", Docgen.small, 5);
-      ("small dup", dup Docgen.small, 5);
-      ("medium", Docgen.medium, 15);
-      ("medium dup", dup Docgen.medium, 8);
+      ("small few", Docgen.small, (1, 3), 4);
+      ("small many", Docgen.small, (6, 10), 4);
+      ("small dup", dup Docgen.small, (3, 6), 4);
+      ("medium few", Docgen.medium, (2, 5), 3);
+      ("medium many", Docgen.medium, (12, 20), 3);
+      ("medium dup", dup Docgen.medium, (6, 10), 3);
+      ("large few", Docgen.large, (3, 8), 2);
+      ("large many", Docgen.large, (25, 40), 2);
+      ("large dup", dup Docgen.large, (10, 16), 2);
     ]
 
 let () =

@@ -21,9 +21,33 @@ let parse gen src = Codec.parse gen src
 (* Exact-value matching over a pair (FastMatch under default criteria). *)
 let auto_match t1 t2 = Fast.run (Criteria.ctx Criteria.default ~t1 ~t2)
 
+(* [Edit_gen.generate] on a fresh exec, and again on execs whose memo slot
+   holds indexes a criteria ctx left there: for this very pair (reused),
+   and for pairs that share one root or none with it (ignored).  The script
+   and dummy pair must not depend on it. *)
+let generate_checked ~matching t1 t2 =
+  let r = Edit_gen.generate ~matching t1 t2 in
+  let text (r : Edit_gen.result) = Treediff_edit.Script_io.to_string r.Edit_gen.script in
+  List.iter
+    (fun (name, (s1, s2), reused) ->
+      let exec = Treediff_util.Exec.create () in
+      ignore (Criteria.ctx ~exec Criteria.default ~t1:s1 ~t2:s2);
+      Alcotest.(check bool) (name ^ ": slot reused") reused
+        (Criteria.pair_indexes exec ~t1 ~t2 <> None);
+      let r' = Edit_gen.generate ~exec ~matching t1 t2 in
+      Alcotest.(check string) (name ^ ": same script") (text r) (text r');
+      Alcotest.(check bool) (name ^ ": same dummy") true
+        (r.Edit_gen.dummy = r'.Edit_gen.dummy))
+    [
+      ("this pair", (t1, t2), true);
+      ("(t1, t1)", (t1, t1), false);
+      ("(t2, t1)", (t2, t1), false);
+    ];
+  r
+
 let generate t1 t2 =
   let m = auto_match t1 t2 in
-  (m, Edit_gen.generate ~matching:m t1 t2)
+  (m, generate_checked ~matching:m t1 t2)
 
 (* Replay the generated script against t1 (handling the dummy-root case). *)
 let replay (r : Edit_gen.result) t1 t2 =
@@ -168,7 +192,7 @@ let test_dummy_roots () =
   let t2 = parse gen {|(NEW (S "keep"))|} in
   let m = Matching.create () in
   Matching.add m (Node.child t1 0).Node.id (Node.child t2 0).Node.id;
-  let r = Edit_gen.generate ~matching:m t1 t2 in
+  let r = generate_checked ~matching:m t1 t2 in
   Alcotest.(check bool) "dummy present" true (r.Edit_gen.dummy <> None);
   let out, target = replay r t1 t2 in
   Alcotest.(check bool) "transforms under dummies" true (Iso.equal out target)
@@ -214,19 +238,29 @@ let test_invalid_matching_rejected () =
   let t2 = parse gen {|(D (P (S "a")))|} in
   let bad = Matching.create () in
   Matching.add bad (Node.child t1 0).Node.id (Node.child t2 0).Node.id;
-  (* S matched to P: label mismatch must be rejected, as a TD203 diagnostic *)
-  Alcotest.(check bool) "label mismatch rejected" true
-    (match Edit_gen.generate ~matching:bad t1 t2 with
-    | exception Treediff_check.Diag.Failed [ d ] ->
-      d.Treediff_check.Diag.code = Treediff_check.Diag.Label_mismatch
-    | _ -> false);
   let unknown = Matching.create () in
   Matching.add unknown 999 (Node.child t2 0).Node.id;
-  Alcotest.(check bool) "unknown id rejected" true
-    (match Edit_gen.generate ~matching:unknown t1 t2 with
-    | exception Treediff_check.Diag.Failed [ d ] ->
-      d.Treediff_check.Diag.code = Treediff_check.Diag.Unmatched_id
-    | _ -> false)
+  (* Rejected with or without the pair's indexes in the exec's slot. *)
+  List.iter
+    (fun (name, exec) ->
+      (* S matched to P: label mismatch must be rejected, as a TD203 diagnostic *)
+      Alcotest.(check bool) (name ^ ": label mismatch rejected") true
+        (match Edit_gen.generate ?exec ~matching:bad t1 t2 with
+        | exception Treediff_check.Diag.Failed [ d ] ->
+          d.Treediff_check.Diag.code = Treediff_check.Diag.Label_mismatch
+        | _ -> false);
+      Alcotest.(check bool) (name ^ ": unknown id rejected") true
+        (match Edit_gen.generate ?exec ~matching:unknown t1 t2 with
+        | exception Treediff_check.Diag.Failed [ d ] ->
+          d.Treediff_check.Diag.code = Treediff_check.Diag.Unmatched_id
+        | _ -> false))
+    [
+      ("fresh exec", None);
+      ( "slot present",
+        let exec = Treediff_util.Exec.create () in
+        ignore (Criteria.ctx ~exec Criteria.default ~t1 ~t2);
+        Some exec );
+    ]
 
 (* ------------------------------------------------- the paper's running example *)
 

@@ -116,6 +116,68 @@ let test_mc3_violations () =
   let cctx = Criteria.ctx Criteria.default ~t1:clean1 ~t2:clean2 in
   Alcotest.(check int) "clean pair has none" 0 (Criteria.mc3_violations cctx)
 
+(* Trees from different generators may share node ids.  A T2 leaf must be
+   keyed by its own value, never by the T1 node that has the same id. *)
+let test_criteria_shared_ids () =
+  let doc root_id leaves =
+    let d = Node.make ~id:root_id ~label:"D" () in
+    List.iter
+      (fun (id, v) -> Node.append_child d (Node.make ~id ~label:"S" ~value:v ()))
+      leaves;
+    d
+  in
+  let t1 = doc 0 [ (1, "alpha"); (2, "beta") ] in
+  let t2 = doc 5 [ (1, "beta"); (7, "alpha") ] in
+  let beta1 = Node.child t1 1 and beta2 = Node.child t2 0 in
+  let alpha2 = Node.child t2 1 in
+  List.iter
+    (fun (name, compare) ->
+      let crit = Criteria.make ~compare () in
+      let ctx = Criteria.ctx crit ~t1 ~t2 in
+      Alcotest.(check bool) (name ^ ": beta vs beta") true
+        (Criteria.equal_leaf ctx beta1 beta2);
+      Alcotest.(check bool) (name ^ ": then beta vs alpha") false
+        (Criteria.equal_leaf ctx beta1 alpha2);
+      let fresh = Criteria.ctx crit ~t1 ~t2 in
+      Alcotest.(check bool) (name ^ ": fresh ctx agrees") false
+        (Criteria.equal_leaf fresh beta1 alpha2);
+      Alcotest.(check int) (name ^ ": T2 leaf count") 1
+        (Criteria.leaf_count ctx beta2))
+    [
+      ("all-or-nothing", Criteria.default.Criteria.compare);
+      ("word LCS", Treediff_textdiff.Word_compare.distance);
+    ]
+
+(* A ctx's footprint grows with the pair, not with the square of its
+   vocabulary: 1 024 distinct values take about 0.6 MiB, nearly all of it
+   the two indexes, where an [nvalues²] float table alone would be 8 MiB. *)
+let test_criteria_ctx_allocation () =
+  let gen = Tree.gen () in
+  let doc lo hi =
+    let d = Node.make ~id:(Tree.fresh_id gen) ~label:"D" () in
+    for i = lo to hi do
+      Node.append_child d
+        (Node.make ~id:(Tree.fresh_id gen) ~label:"S"
+           ~value:(Printf.sprintf "sentence number %d" i) ())
+    done;
+    d
+  in
+  (* 1 023 sentences plus the roots' empty value *)
+  let t1 = doc 0 510 and t2 = doc 511 1022 in
+  List.iter
+    (fun (name, crit) ->
+      let before = Gc.allocated_bytes () in
+      let ctx = Criteria.ctx crit ~t1 ~t2 in
+      let bytes = Gc.allocated_bytes () -. before in
+      ignore (Sys.opaque_identity ctx);
+      if bytes >= 1048576. then
+        Alcotest.failf "%s: ctx allocated %.0f bytes" name bytes)
+    [
+      ("all-or-nothing", Criteria.default);
+      ( "word LCS",
+        Criteria.make ~compare:Treediff_textdiff.Word_compare.distance () );
+    ]
+
 (* ---------------------------------------------------------- label order *)
 
 let test_label_order () =
@@ -564,6 +626,8 @@ let () =
           Alcotest.test_case "threshold validation" `Quick test_criteria_thresholds;
           Alcotest.test_case "common and criterion 2" `Quick test_common_and_internal;
           Alcotest.test_case "MC3 violations" `Quick test_mc3_violations;
+          Alcotest.test_case "side-aware value ids" `Quick test_criteria_shared_ids;
+          Alcotest.test_case "ctx allocation" `Quick test_criteria_ctx_allocation;
         ] );
       ( "label-order",
         [

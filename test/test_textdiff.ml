@@ -81,9 +81,14 @@ let sentence_gen =
 (* A one-entry cache flushes on every call, so word ids are reassigned
    under the kernel's scratch table between calls; a long-lived cache grows
    its scratch with the vocabulary (the rare "wN" words).  Distances must
-   not notice either, bit for bit. *)
+   not notice either, bit for bit.  Token arrays prepared once under a
+   long-lived vocabulary, or a fresh one per pair, must give the same. *)
 let distance_with_matches_reference =
   let flushing = W.Cache.create ~cap:1 () and kept = W.Cache.create () in
+  let vocab = W.Vocab.create () in
+  let on_tokens v a b =
+    W.distance_tokens v (W.Vocab.tokenize v a) (W.Vocab.tokenize v b)
+  in
   QCheck2.Test.make ~name:"distance_with = words + Myers reference" ~count:1000
     ~print:QCheck2.Print.(pair string string)
     QCheck2.Gen.(pair sentence_gen sentence_gen)
@@ -93,7 +98,9 @@ let distance_with_matches_reference =
       && Float.equal (W.distance_with flushing b a) (reference_distance b a)
       && Float.equal (W.distance_with kept a b) want (* cold *)
       && Float.equal (W.distance_with kept a b) want (* memoized *)
-      && Float.equal (W.distance a b) want)
+      && Float.equal (W.distance a b) want
+      && Float.equal (on_tokens vocab a b) want
+      && Float.equal (on_tokens (W.Vocab.create ()) a b) want)
 
 (* ------------------------------------------------------------ levenshtein *)
 
