@@ -9,6 +9,7 @@ type error =
   | Io of string
   | Bad_magic
   | Unsupported_version of int
+  | Bad_record of int * string
 
 let error_to_string = function
   | Io msg -> msg
@@ -16,6 +17,7 @@ let error_to_string = function
   | Unsupported_version v ->
     Printf.sprintf "unsupported store format version %d (this build reads %d)" v
       format_version
+  | Bad_record (off, reason) -> Printf.sprintf "record at byte %d: %s" off reason
 
 type record = { tag : char; payload : string }
 
@@ -43,6 +45,9 @@ let header ~interval ~max_replay_ops =
   B.add_varint buf max_replay_ops;
   Buffer.contents buf
 
+let header_length ~interval ~max_replay_ops =
+  String.length (header ~interval ~max_replay_ops)
+
 (* tag, payload length, checksum, payload — see the .mli wire grammar. *)
 let record_bytes { tag; payload } =
   let buf = Buffer.create (String.length payload + 16) in
@@ -51,6 +56,24 @@ let record_bytes { tag; payload } =
   B.add_i64 buf (B.fnv1a64 payload);
   Buffer.add_string buf payload;
   Buffer.contents buf
+
+let record_size { payload; _ } =
+  let n = String.length payload in
+  let rec varint k v = if v < 0x80 then k else varint (k + 1) (v lsr 7) in
+  1 + varint 1 n + 8 + n
+
+(* One record at the reader's position, its checksum checked. *)
+let read_record r =
+  let start = r.B.pos in
+  let tag = Char.chr (B.read_byte r) in
+  let len = B.read_varint r in
+  let sum = B.read_i64 r in
+  if B.remaining r < len then raise (B.Truncated r.B.pos);
+  let payload = String.sub r.B.src r.B.pos len in
+  r.B.pos <- r.B.pos + len;
+  if not (Int64.equal sum (B.fnv1a64 payload)) then
+    raise (B.Malformed (start, "record checksum mismatch"));
+  { tag; payload }
 
 (* Records until the data runs out or stops checksumming.  A damaged
    record poisons everything after it: with no resync marker, the
@@ -62,15 +85,7 @@ let scan_records r =
   let damaged = ref false in
   (try
      while B.remaining r > 0 do
-       let tag = Char.chr (B.read_byte r) in
-       let len = B.read_varint r in
-       let sum = B.read_i64 r in
-       if B.remaining r < len then raise (B.Truncated r.B.pos);
-       let payload = String.sub r.B.src r.B.pos len in
-       r.B.pos <- r.B.pos + len;
-       if not (Int64.equal sum (B.fnv1a64 payload)) then
-         raise (B.Malformed (!valid_end, "record checksum mismatch"));
-       records := { tag; payload } :: !records;
+       records := read_record r :: !records;
        valid_end := r.B.pos
      done
    with B.Truncated _ | B.Malformed _ -> damaged := true);
@@ -113,6 +128,54 @@ let scan path =
           let records, valid_end, truncated_tail = scan_records r in
           Ok { records; valid_end; truncated_tail; interval; max_replay_ops }))
 
+exception Bad_span of int * string
+
+let read_records path spans =
+  let n = Array.length spans / 2 in
+  let records = Array.make n { tag = '\000'; payload = "" } in
+  let read fd =
+    let i = ref 0 in
+    while !i < n do
+      (* A run of records laid back to back costs one read. *)
+      let j = ref (!i + 1) in
+      while !j < n && spans.(2 * !j) = spans.(2 * !j - 2) + spans.(2 * !j - 1) do
+        incr j
+      done;
+      let first = spans.(2 * !i) in
+      let buf = Bytes.create (spans.(2 * !j - 2) + spans.(2 * !j - 1) - first) in
+      ignore (Unix.lseek fd first Unix.SEEK_SET);
+      let rec fill off =
+        if off < Bytes.length buf then
+          match Unix.read fd buf off (Bytes.length buf - off) with
+          | 0 -> raise (Bad_span (first + off, "record runs past the end of the file"))
+          | k -> fill (off + k)
+      in
+      fill 0;
+      let src = Bytes.unsafe_to_string buf in
+      for k = !i to !j - 1 do
+        let off = spans.(2 * k) in
+        let r = B.reader ~pos:(off - first) src in
+        match read_record r with
+        | record when r.B.pos - (off - first) = spans.((2 * k) + 1) ->
+          records.(k) <- record
+        | _ -> raise (Bad_span (off, "record length differs from its index span"))
+        | exception B.Truncated _ -> raise (Bad_span (off, "record truncated"))
+        | exception B.Malformed (_, reason) -> raise (Bad_span (off, reason))
+      done;
+      i := !j
+    done;
+    records
+  in
+  match
+    guard_io @@ fun () ->
+    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> read fd)
+  with
+  | result -> result
+  | exception Bad_span (off, reason) -> Error (Bad_record (off, reason))
+
 let append ?faults ?(point = "store.append") ~path ~valid_end record =
   let fault name =
     match faults with
@@ -125,8 +188,10 @@ let append ?faults ?(point = "store.append") ~path ~valid_end record =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       (* Drop any damaged tail left by an earlier interrupted append, then
-         write the record in two halves around the crash fault point. *)
-      Unix.ftruncate fd valid_end;
+         write the record in two halves around the crash fault point.  A
+         file already [valid_end] long is not truncated: ext4, for one,
+         runs a journaled truncate even when the length does not change. *)
+      if (Unix.fstat fd).Unix.st_size <> valid_end then Unix.ftruncate fd valid_end;
       ignore (Unix.lseek fd valid_end Unix.SEEK_SET);
       let bytes = record_bytes record in
       let write s off len =

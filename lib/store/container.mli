@@ -20,6 +20,8 @@ type error =
   | Io of string
   | Bad_magic
   | Unsupported_version of int  (** header version byte this build cannot read *)
+  | Bad_record of int * string
+      (** a positioned read found no intact record at this byte offset *)
 
 val error_to_string : error -> string
 
@@ -32,6 +34,13 @@ val record_bytes : record -> string
     {!append} writes.  {!Manifest} and the shard writers frame their own
     records with this so every file in a corpus shares one checksum
     discipline. *)
+
+val record_size : record -> int
+(** Length of {!record_bytes}, without building it. *)
+
+val header_length : interval:int -> max_replay_ops:int -> int
+(** Byte offset of the first record in a container with this header:
+    {!scan} and {!rewrite} lay records back to back from here. *)
 
 type opened = {
   records : record list;  (** every well-formed record, in file order *)
@@ -53,6 +62,13 @@ val scan_records : Treediff_util.Binio.reader -> record list * int * bool
     of its source: [(records, valid_end, truncated_tail)].  The shared tail
     of {!scan} and {!Manifest}'s replay — any file framed with
     {!record_bytes} gets the same damaged-tail isolation. *)
+
+val read_records : string -> int array -> (record array, error) result
+(** Positioned reads: [spans] holds [offset; wire length] pairs, flat, and
+    the result holds the record at each, in order.  Every record's
+    checksum is re-checked and it must fill its span exactly, else
+    {!Bad_record}; a run of spans laid back to back is read at once.
+    Never raises. *)
 
 val append :
   ?faults:Treediff_util.Fault.t ->

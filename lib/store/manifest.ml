@@ -192,25 +192,21 @@ let replay path =
 
 let point = "store.manifest"
 
+let of_container = function
+  | Container.Io m -> Io m
+  | Container.Bad_magic -> Bad_magic
+  | Container.Unsupported_version v -> Unsupported_version v
+  | Container.Bad_record _ as e -> Io (Container.error_to_string e)
+
 let append_begin ?faults ~path ~valid_end ~seq docs =
-  match
-    Container.append ?faults ~point ~path ~valid_end
-      { Container.tag = tag_begin; payload = begin_payload ~seq docs }
-  with
-  | Ok _ as ok -> ok
-  | Error (Container.Io m) -> Error (Io m)
-  | Error Container.Bad_magic -> Error Bad_magic
-  | Error (Container.Unsupported_version v) -> Error (Unsupported_version v)
+  Result.map_error of_container
+    (Container.append ?faults ~point ~path ~valid_end
+       { Container.tag = tag_begin; payload = begin_payload ~seq docs })
 
 let append_end ?faults ~path ~valid_end ~seq infos =
-  match
-    Container.append ?faults ~point ~path ~valid_end
-      { Container.tag = tag_end; payload = end_payload ~seq infos }
-  with
-  | Ok _ as ok -> ok
-  | Error (Container.Io m) -> Error (Io m)
-  | Error Container.Bad_magic -> Error Bad_magic
-  | Error (Container.Unsupported_version v) -> Error (Unsupported_version v)
+  Result.map_error of_container
+    (Container.append ?faults ~point ~path ~valid_end
+       { Container.tag = tag_end; payload = end_payload ~seq infos })
 
 let checkpoint ~path ~shards ~interval ~max_replay_ops ~next_seq infos =
   guard_io @@ fun () ->

@@ -37,14 +37,22 @@
     catalog updates under the state lock — so concurrent {!commit}s to
     {e distinct documents} from domains holding their own [~exec] are
     safe.  Two writers must not commit to the same document concurrently.
-    Readers are snapshot-isolated: {!snapshot} freezes the committed
+    Readers take a shard lock briefly (never while holding the state
+    lock) and are snapshot-isolated: {!snapshot} freezes the committed
     catalog at a manifest epoch, and later commits never change which
     record wins for any version a snapshot can see ({!gc} rewrites files,
     so it invalidates open snapshots — epoch-check before trusting one).
 
-    {b Caching.}  Chain loads scan one shard file and are cached per
-    document with MRU eviction, so resident memory stays bounded at corpus
-    scale; {!ingest} keeps only catalog state per finished document. *)
+    {b Caching.}  Each shard has an in-memory record index: per document,
+    the byte offset and length of the winning record for each version.
+    The first use of a shard scans its file once to build the index; every
+    append extends it and {!gc} rebuilds it from the records it keeps.  A
+    chain load reads only that document's records by positioned reads,
+    re-checking each record's checksum and its framed document and version
+    against the index slot.  Loaded chains are cached per document with
+    MRU eviction, so resident memory stays bounded at corpus scale (plus
+    8 bytes per indexed version); {!ingest} keeps only catalog state and
+    the index per finished document. *)
 
 type entry = Chain.entry = {
   version : int;
@@ -74,9 +82,9 @@ val open_ : ?exec:Treediff_util.Exec.t -> string -> (t, string) result
 (** Open an existing corpus: replay the manifest (isolating a torn manifest
     tail), rebuild the committed catalog, and report aborted commits via
     {!aborted_commits}.  Shard files are {e not} scanned here — each is
-    read lazily on first use, where a torn shard tail is isolated by the
-    container scan and reclaimed by the next append.  O(manifest), not
-    O(corpus). *)
+    scanned once on first use to build its record index, where a torn
+    shard tail is isolated by the container scan and reclaimed by the next
+    append.  O(manifest), not O(corpus). *)
 
 val is_corpus : string -> bool
 (** [dir] exists and holds a [MANIFEST]. *)
@@ -257,7 +265,8 @@ val stats : t -> stats
 val verify :
   ?jobs:int -> ?pool:Treediff_util.Pool.t -> t -> (int, string) result
 (** Materialize {e every} committed version of every document with hash
-    verification, in parallel over documents.  Returns the number of
-    versions verified, or the first failure.  The crash-recovery
+    verification, in parallel over shards.  Each shard's record index is
+    first rebuilt from a fresh scan and must equal the resident one.
+    Returns the number of versions verified, or the first failure.  The crash-recovery
     acceptance check: after a kill and reopen, everything the catalog
     claims must verify against its stored {!Treediff_tree.Iso.hash}. *)

@@ -1,7 +1,8 @@
 (* The sharded corpus store: hash-bucketed shard files behind a write-ahead
    manifest.  Round-trips, atomic multi-document commits, snapshot-isolated
    readers, deterministic parallel ingest (byte-identical corpus whatever
-   the job count), crash recovery through the manifest, and gc.
+   the job count), crash recovery through the manifest, gc, and the
+   per-shard record index checked against a full-scan reference.
 
    When TREEDIFF_FAULT is set (the `make store-tests` sweep), only the
    env-sweep suite runs: after every commit/ingest attempt under the armed
@@ -17,8 +18,11 @@ module Node = Treediff_tree.Node
 module Tree = Treediff_tree.Tree
 module Iso = Treediff_tree.Iso
 module Diff = Treediff.Diff
+module Binio = Treediff_util.Binio
 module Store = Treediff_store.Store
 module Shard = Treediff_store.Shard
+module Chain = Treediff_store.Chain
+module Container = Treediff_store.Container
 module Docgen = Treediff_workload.Docgen
 module Mutate = Treediff_workload.Mutate
 
@@ -372,6 +376,277 @@ let test_fault_shard_lock () =
   Alcotest.(check int) "recovered" 2 (ok_exn "verify" (Shard.verify ~jobs:1 reopened));
   rm_rf dir
 
+(* ------------------------------------------------------- record index *)
+
+let shard_file dir t doc =
+  Filename.concat dir (Printf.sprintf "shard-%04d.tdst" (Shard.shard_of t doc))
+
+(* The reference chain load: one full scan of the shard, the records of
+   [doc] below [upto], the last in file order winning for each version. *)
+let reference_chain path ~doc ~upto =
+  match Container.scan path with
+  | Error e -> Error (Container.error_to_string e)
+  | Ok scan ->
+    let best = Hashtbl.create 16 in
+    List.iter
+      (fun (record : Container.record) ->
+        if Chain.known_tag record.Container.tag then begin
+          let r = Binio.reader record.Container.payload in
+          let d = Binio.read_string r in
+          ignore (Binio.read_varint r);
+          let chain_off = r.Binio.pos in
+          let version = Binio.read_varint r in
+          if d = doc && version < upto then
+            Hashtbl.replace best version
+              {
+                record with
+                Container.payload =
+                  String.sub record.Container.payload chain_off
+                    (String.length record.Container.payload - chain_off);
+              }
+        end)
+      scan.Container.records;
+    let rec collect v acc =
+      if v < 0 then Ok acc
+      else
+        match Hashtbl.find_opt best v with
+        | None -> Error (Printf.sprintf "%s v%d missing" doc v)
+        | Some record ->
+          Result.bind (Chain.parse_record record) @@ fun p -> collect (v - 1) (p :: acc)
+    in
+    Result.bind (collect (upto - 1) []) Chain.validate
+
+let reference_materialize path ~doc ~upto v =
+  Result.bind (reference_chain path ~doc ~upto) @@ fun entries ->
+  Chain.materialize ~verify:true ~exec:(Exec.create ()) entries v
+
+let outcome = function Ok tree -> Some (Iso.hash tree) | Error _ -> None
+
+(* Every version of every document, through a handle's chain loads and a
+   fresh snapshot, must equal the reference fold over the shard file. *)
+let check_against_reference ~what dir t =
+  let snap = Shard.snapshot t in
+  List.iter
+    (fun doc ->
+      let upto = Shard.versions t doc in
+      for v = 0 to upto - 1 do
+        let expected =
+          outcome (reference_materialize (shard_file dir t doc) ~doc ~upto v)
+        in
+        let label via = Printf.sprintf "%s: %s %s v%d" what via doc v in
+        Alcotest.(check (option int64)) (label "materialize") expected
+          (outcome (Shard.materialize ~verify:true t ~doc v));
+        Alcotest.(check (option int64)) (label "snapshot") expected
+          (outcome (Shard.snapshot_materialize ~verify:true snap ~doc v))
+      done)
+    (Shard.docs t)
+
+let append_garbage path =
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
+  output_string oc "D\x40torn";
+  close_out oc
+
+let test_index_vs_reference () =
+  let dir = tmp_dir "index_ref" in
+  let t = ok_exn "init" (Shard.init ~interval:2 ~shards:2 dir) in
+  let lines = List.init 5 (fun i -> lineage ~seed:(900 + i) 5) in
+  let batch v = List.mapi (fun i l -> (Printf.sprintf "d%d" i, List.nth l v)) lines in
+  ignore (ok_exn "batch 0" (Shard.commit_many t (batch 0)));
+  ignore (ok_exn "batch 1" (Shard.commit_many t (batch 1)));
+  (* version 2 first goes out with batch 4's trees and its End is torn
+     after the records landed; the retry on the same handle commits batch
+     2, leaving a second, different record for every (doc, 2) *)
+  (match
+     with_fault t "store.manifest:raise@2" (fun () -> Shard.commit_many t (batch 4))
+   with
+  | exception Fault.Injected _ -> ()
+  | _ -> Alcotest.fail "batch 2 survived its torn End");
+  ignore (ok_exn "batch 2 retried" (Shard.commit_many t (batch 2)));
+  (* batch 3 dies inside its second shard append: a Begin without End,
+     one invisible record and a torn record *)
+  (match
+     with_fault t "store.append:raise@2" (fun () -> Shard.commit_many t (batch 3))
+   with
+  | exception Fault.Injected _ -> ()
+  | _ -> Alcotest.fail "batch 3 survived the injected shard crash");
+  Alcotest.(check int) "appended index matches a fresh scan" 15
+    (ok_exn "verify live" (Shard.verify ~jobs:1 t));
+  check_against_reference ~what:"live" dir t;
+  for s = 0 to Shard.shards t - 1 do
+    append_garbage (Filename.concat dir (Printf.sprintf "shard-%04d.tdst" s))
+  done;
+  let t = ok_exn "reopen" (Shard.open_ dir) in
+  Alcotest.(check bool) "aborted commits reported" true (Shard.aborted_commits t <> []);
+  check_against_reference ~what:"reopened" dir t;
+  ignore (ok_exn "batch 3 retried" (Shard.commit_many t (batch 3)));
+  ignore (ok_exn "batch 4" (Shard.commit_many t (batch 4)));
+  List.iteri
+    (fun i l ->
+      let doc = Printf.sprintf "d%d" i in
+      Alcotest.(check int64) (doc ^ " v2 is the retry's tree") (Iso.hash (List.nth l 2))
+        (Iso.hash (ok_exn "v2" (Shard.materialize t ~doc 2))))
+    lines;
+  check_against_reference ~what:"after retry" dir t;
+  let before, after = ok_exn "gc" (Shard.gc ~jobs:2 t) in
+  Alcotest.(check bool) "gc reclaimed the debris" true (after < before);
+  check_against_reference ~what:"after gc" dir t;
+  Alcotest.(check int) "gc's index matches a fresh scan" 25
+    (ok_exn "verify after gc" (Shard.verify ~jobs:1 t));
+  check_against_reference ~what:"reopened after gc" dir
+    (ok_exn "reopen after gc" (Shard.open_ dir));
+  rm_rf dir
+
+(* A record wider than the index's packed length field (4 MiB) keeps its
+   length aside; loads, gc and the fresh-scan cross-check see it alike. *)
+let test_index_long_record () =
+  let dir = tmp_dir "index_long" in
+  let t = ok_exn "init" (Shard.init ~shards:1 dir) in
+  let big =
+    Treediff_tree.Codec.parse (Tree.gen ())
+      (Printf.sprintf {|(D (P (S "%s")) (P (S "tail")))|} (String.make (5 lsl 20) 'x'))
+  in
+  let small = List.hd (lineage ~seed:5 1) in
+  ignore (ok_exn "commit small" (Shard.commit t ~doc:"small" small));
+  ignore (ok_exn "commit big" (Shard.commit t ~doc:"big" big));
+  ignore (ok_exn "commit small again" (Shard.commit t ~doc:"small2" small));
+  let check t what =
+    Alcotest.(check int) (what ^ ": verify") 3 (ok_exn "verify" (Shard.verify ~jobs:1 t));
+    let snap = Shard.snapshot t in
+    List.iter
+      (fun (doc, tree) ->
+        Alcotest.(check int64) (what ^ ": " ^ doc) (Iso.hash tree)
+          (Iso.hash (ok_exn "snapshot read" (Shard.snapshot_materialize snap ~doc 0))))
+      [ ("big", big); ("small", small); ("small2", small) ]
+  in
+  check t "live";
+  check (ok_exn "reopen" (Shard.open_ dir)) "reopened";
+  ignore (ok_exn "gc" (Shard.gc ~jobs:1 t));
+  check t "after gc";
+  rm_rf dir
+
+(* One byte flipped inside a record after the index was built: the cold
+   load reports the checksum and does not raise; a reopen then applies the
+   scan rule, where the damaged record poisons the rest of the shard. *)
+let test_index_hostile_bytes () =
+  let dir = tmp_dir "index_hostile" in
+  let t = ok_exn "init" (Shard.init ~shards:1 dir) in
+  let lines = List.init 6 (fun i -> lineage ~seed:(950 + i) 3) in
+  for v = 0 to 2 do
+    ignore
+      (ok_exn "commit"
+         (Shard.commit_many t
+            (List.mapi (fun i l -> (Printf.sprintf "d%d" i, List.nth l v)) lines)))
+  done;
+  let path = Filename.concat dir "shard-0000.tdst" in
+  let scan =
+    match Container.scan path with
+    | Ok scan -> scan
+    | Error e -> Alcotest.fail (Container.error_to_string e)
+  in
+  let doc_of (record : Container.record) =
+    Binio.read_string (Binio.reader record.Container.payload)
+  in
+  (* the record to damage sits mid-file; another doc's load builds the
+     index first *)
+  let records = Array.of_list scan.Container.records in
+  let k = Array.length records / 2 in
+  let victim = doc_of records.(k) in
+  let warm = doc_of (List.find (fun r -> doc_of r <> victim) scan.Container.records) in
+  let t = ok_exn "reopen" (Shard.open_ dir) in
+  ignore (ok_exn "warm load" (Shard.materialize t ~doc:warm 0));
+  let off = ref (Container.header_length ~interval:scan.Container.interval
+                   ~max_replay_ops:scan.Container.max_replay_ops) in
+  for i = 0 to k do
+    off := !off + Container.record_size records.(i)
+  done;
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let flip = !off - 1 in
+  let byte = Bytes.create 1 in
+  ignore (Unix.lseek fd flip Unix.SEEK_SET);
+  ignore (Unix.read fd byte 0 1);
+  Bytes.set byte 0 (Char.chr (Char.code (Bytes.get byte 0) lxor 0x20));
+  ignore (Unix.lseek fd flip Unix.SEEK_SET);
+  ignore (Unix.write fd byte 0 1);
+  Unix.close fd;
+  (match Shard.materialize t ~doc:victim 2 with
+  | Error msg ->
+    Alcotest.(check bool) ("typed checksum error: " ^ msg) true
+      (contains ~sub:"checksum mismatch" msg)
+  | Ok _ -> Alcotest.fail "a damaged record loaded");
+  (match Shard.verify ~jobs:1 t with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "verify missed the damaged record");
+  let t = ok_exn "reopen after damage" (Shard.open_ dir) in
+  let poisoned = ref 0 in
+  List.iter
+    (fun doc ->
+      for v = 0 to 2 do
+        let expected = outcome (reference_materialize path ~doc ~upto:3 v) in
+        if expected = None then incr poisoned;
+        Alcotest.(check (option int64)) (Printf.sprintf "%s v%d after reopen" doc v)
+          expected (outcome (Shard.materialize t ~doc v))
+      done)
+    (Shard.docs t);
+  Alcotest.(check bool) "the damage poisoned the tail" true (!poisoned > 0);
+  rm_rf dir
+
+(* One domain commits to a document while another cold-reads the others
+   of the same shard through the same handle; more documents than the
+   chain cache holds, so chains are evicted and re-read throughout. *)
+let test_index_concurrent () =
+  let dir = tmp_dir "index_concurrent" in
+  let t = ok_exn "init" (Shard.init ~shards:1 dir) in
+  let docs = 80 in
+  let srcs = sources ~docs ~versions:2 in
+  let report = ok_exn "ingest" (Shard.ingest ~jobs:1 ~chunk_docs:16 t srcs) in
+  Alcotest.(check int) "ingested" docs report.Shard.docs_ingested;
+  let expected =
+    Array.of_list
+      (List.map
+         (fun (src : Shard.source) ->
+           (src.Shard.name, Array.init 2 (fun v -> Iso.hash (ok_exn "load" (src.Shard.load v)))))
+         srcs)
+  in
+  let t = ok_exn "reopen" (Shard.open_ dir) in
+  let line = lineage ~seed:77 8 in
+  let writer_done = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let exec = Exec.create () in
+        let results = List.map (fun tree -> Shard.commit ~exec t ~doc:"writer" tree) line in
+        Atomic.set writer_done true;
+        results)
+  in
+  let exec = Exec.create () in
+  let failures = ref [] and reads = ref 0 and round = ref 0 in
+  while !round < 2 || not (Atomic.get writer_done) do
+    Array.iteri
+      (fun i (doc, hashes) ->
+        let v = (i + !round) mod 2 in
+        incr reads;
+        match Shard.materialize ~exec t ~doc v with
+        | Ok tree when Iso.hash tree = hashes.(v) -> ()
+        | Ok _ -> failures := Printf.sprintf "%s v%d: wrong tree" doc v :: !failures
+        | Error msg -> failures := Printf.sprintf "%s v%d: %s" doc v msg :: !failures)
+      expected;
+    incr round
+  done;
+  let committed = Domain.join writer in
+  Alcotest.(check (list string)) "every read equals its commit" [] !failures;
+  List.iteri
+    (fun v r ->
+      let e = ok_exn "writer commit" r in
+      Alcotest.(check int) "writer version" v e.Shard.version)
+    committed;
+  List.iteri
+    (fun v tree ->
+      let got = ok_exn "writer read back" (Shard.materialize ~verify:true t ~doc:"writer" v) in
+      Alcotest.(check int64) (Printf.sprintf "writer v%d" v) (Iso.hash tree) (Iso.hash got))
+    line;
+  Alcotest.(check int) "index still matches a fresh scan" ((docs * 2) + 8)
+    (ok_exn "verify" (Shard.verify ~jobs:1 t));
+  rm_rf dir
+
 (* ------------------------------------------------------------------ cli *)
 
 let bin name =
@@ -581,6 +856,14 @@ let () =
             quick "crash between Begin and End; gc reclaims"
               test_crash_between_begin_and_end;
             quick "shard-lock fault" test_fault_shard_lock;
+          ] );
+        ( "index",
+          [
+            quick "indexed loads equal the full-scan reference"
+              test_index_vs_reference;
+            quick "a record wider than the packed length" test_index_long_record;
+            quick "a flipped byte is a typed checksum error" test_index_hostile_bytes;
+            quick "commits beside cold reads in one shard" test_index_concurrent;
           ] );
         ( "cli",
           [
