@@ -57,13 +57,15 @@ fault-tests:
 	  TREEDIFF_FAULT=$$spec dune exec test/test_fault.exe -- -c || exit 1; \
 	done
 
-# Version-store suite: algebra properties, archive round-trips and the CLI
-# unarmed, then the crash sweep — with TREEDIFF_FAULT armed at the store's
-# points, the suite switches to env-sweep mode: commit under fire, reopen,
-# and verify every surviving version against its stored hash.  The corpus
-# suite (test_corpus) runs the same sweep against the sharded store, where
-# the armed points additionally cover the write-ahead manifest and the
-# per-shard commit locks.
+# Archive suites: algebra properties, one-document archive round-trips,
+# pruning, legacy migration and the CLI (test_store), and multi-document
+# corpora, ingest and the record index (test_corpus), unarmed; then the
+# crash sweep — with TREEDIFF_FAULT armed at the store's points, both
+# switch to env-sweep mode: commit under fire, reopen, and verify every
+# surviving version against its stored hash, through the write-ahead
+# manifest and the per-shard commit locks.  test_store's sweep also runs
+# `store migrate` of the legacy fixture under each fault and asserts the
+# document landed whole or not at all.
 STORE_FAULT_SPECS = \
   store.commit:raise@3 \
   store.append:raise@2 \
@@ -74,7 +76,8 @@ STORE_FAULT_SPECS = \
   store.shard_lock:raise@2
 
 store-tests:
-	dune build test/test_store.exe test/test_corpus.exe bin/treediff_cli.exe
+	dune build test/test_store.exe test/test_corpus.exe bin/treediff_cli.exe \
+	  test/fixtures/legacy_pruned.tdst
 	dune exec test/test_store.exe -- -c
 	dune exec test/test_corpus.exe -- -c
 	@for spec in $(STORE_FAULT_SPECS); do \
@@ -85,7 +88,7 @@ store-tests:
 
 # Parallelism suite: pool unit tests, the jobs:1 vs jobs:4 byte-identity
 # property (with per-pair budgets and armed faults), crash isolation, and
-# parallel store replay.
+# parallel replay from pool domains through one archive handle.
 par-tests:
 	dune build test/test_batch.exe
 	dune exec test/test_batch.exe -- -c
@@ -124,7 +127,8 @@ SERVE_FAULT_SPECS = \
   serve.drain:raise
 
 serve-tests:
-	dune build test/test_serve.exe bin/treediff_cli.exe
+	dune build test/test_serve.exe bin/treediff_cli.exe \
+	  test/fixtures/legacy_pruned.tdst
 	dune exec test/test_serve.exe -- -c
 	@for spec in $(SERVE_FAULT_SPECS); do \
 	  echo "== TREEDIFF_FAULT=$$spec"; \

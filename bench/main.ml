@@ -155,12 +155,14 @@ let run_bechamel ?json ~out () =
 
 (* ------------------------------------------------------- store benchmark *)
 
-module Store = Treediff_store.Store
+module Shard = Treediff_store.Shard
+
+let rm_rf dir = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
 (* Commit latency, materialization latency vs chain depth, and bytes per
-   version — the same lineage committed twice: once under the default
-   checkpoint policy and once with checkpoints disabled, so the depth sweep
-   isolates what checkpoints buy. *)
+   version — the same lineage committed to two 1-shard archives: one under
+   the default checkpoint policy and one with checkpoints disabled, so the
+   depth sweep isolates what checkpoints buy. *)
 let run_store ?json ~out () =
   Printf.fprintf out "== Store: delta chain vs checkpoint policy ==\n";
   let commits = 50 in
@@ -179,12 +181,8 @@ let run_store ?json ~out () =
     grow [ first ] first commits
   in
   let tmp suffix =
-    let path =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "treediff_bench_%d_%s.tds" (Unix.getpid ()) suffix)
-    in
-    if Sys.file_exists path then Sys.remove path;
-    path
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "treediff_bench_%d_%s" (Unix.getpid ()) suffix)
   in
   let ok = function
     | Ok v -> v
@@ -195,37 +193,40 @@ let run_store ?json ~out () =
     let r = f () in
     (r, (Unix.gettimeofday () -. t0) *. 1e9)
   in
-  let ckpt_path = tmp "ckpt" and linear_path = tmp "linear" in
-  let ckpt = ok (Store.init ckpt_path) in
-  let linear = ok (Store.init ~interval:0 ~max_replay_ops:0 linear_path) in
+  let doc = "doc" in
+  let ckpt = ok (Shard.init ~shards:1 (tmp "ckpt")) in
+  let linear = ok (Shard.init ~interval:0 ~max_replay_ops:0 ~shards:1 (tmp "linear")) in
   let commit_ns =
     List.map
-      (fun doc ->
-        ignore (ok (Store.commit linear doc));
-        let _, ns = time_ns (fun () -> ok (Store.commit ckpt doc)) in
+      (fun tree ->
+        ignore (ok (Shard.commit linear ~doc tree));
+        let _, ns = time_ns (fun () -> ok (Shard.commit ckpt ~doc tree)) in
         ns)
       docs
   in
   let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
   let reps = 20 in
   let mat store v =
-    let _, first = time_ns (fun () -> ok (Store.materialize store v)) in
+    let _, first = time_ns (fun () -> ok (Shard.materialize store ~doc v)) in
     let rec go k acc =
       if k = 0 then acc
       else
-        let _, ns = time_ns (fun () -> ok (Store.materialize store v)) in
+        let _, ns = time_ns (fun () -> ok (Shard.materialize store ~doc v)) in
         go (k - 1) (ns :: acc)
     in
     mean (go (reps - 1) [ first ])
   in
   let depths = [ 1; 5; 10; 25; 50 ] in
   let sweep = List.map (fun v -> (v, mat ckpt v, mat linear v)) depths in
-  let archive_bytes path = (Unix.stat path).Unix.st_size in
+  let archive_bytes store =
+    let s = Shard.stats store in
+    Array.fold_left ( + ) s.Shard.stat_manifest_bytes s.Shard.stat_shard_bytes
+  in
   let snapshot_bytes =
     List.fold_left
       (fun acc v ->
         acc
-        + String.length (Treediff_tree.Codec.encode (ok (Store.materialize ckpt v))))
+        + String.length (Treediff_tree.Codec.encode (ok (Shard.materialize ckpt ~doc v))))
       0
       (List.init (commits + 1) Fun.id)
   in
@@ -235,8 +236,8 @@ let run_store ?json ~out () =
   Printf.fprintf out
     "archive bytes/version: %.0f checkpointed, %.0f checkpoint-free, %.0f as \
      full snapshots\n"
-    (per (archive_bytes ckpt_path))
-    (per (archive_bytes linear_path))
+    (per (archive_bytes ckpt))
+    (per (archive_bytes linear))
     (per snapshot_bytes);
   let table =
     Treediff_util.Table.create
@@ -268,12 +269,9 @@ let run_store ?json ~out () =
            sweep
     in
     write_json ~out path rows);
-  Sys.remove ckpt_path;
-  Sys.remove linear_path
+  List.iter (fun store -> rm_rf (Shard.dir store)) [ ckpt; linear ]
 
 (* ------------------------------------------------ sharded corpus at scale *)
-
-module Shard = Treediff_store.Shard
 
 (* The corpus store at scale: a synthetic many-document corpus bulk-loaded
    through the write-ahead manifest, then measured for commit throughput,
@@ -300,9 +298,6 @@ let run_store_scale ?json ~out ~jobs ~smoke () =
   let tmp_root suffix =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "treediff_scale_%d_%s" (Unix.getpid ()) suffix)
-  in
-  let rm_rf dir =
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
   in
   (* tiny trees whose consecutive versions differ in three leaf texts:
      update-only deltas, so the measurement weighs the store machinery

@@ -657,8 +657,8 @@ let check_cmd =
 
 (* ----------------------------------------------------------------- store *)
 
-module Store = Treediff_store.Store
 module Shard = Treediff_store.Shard
+module Chain = Treediff_store.Chain
 
 (* Store-level errors (missing versions, refused deltas, damaged archives)
    are user-facing operational failures, not internal bugs: exit 1. *)
@@ -667,15 +667,6 @@ let ok_or_die = function
   | Error msg ->
     Printf.eprintf "treediff: store: %s\n" msg;
     exit 1
-
-let open_store archive =
-  let store = ok_or_die (Store.open_ archive) in
-  if Store.truncated_tail store then
-    Printf.eprintf
-      "treediff: store: %s has a damaged tail (interrupted commit); %d \
-       version(s) remain readable and the next commit reclaims the space\n"
-      archive (Store.versions store);
-  store
 
 let open_corpus dir =
   let corpus = ok_or_die (Shard.open_ dir) in
@@ -689,25 +680,10 @@ let open_corpus dir =
   | aborted ->
     Printf.eprintf
       "treediff: store: %s: %d aborted commit(s) from an earlier crash; \
-       their versions are invisible and $(b,store gc) reclaims the bytes\n"
+       their versions are invisible and `treediff store gc` reclaims the \
+       bytes\n"
       dir (List.length aborted));
   corpus
-
-(* A corpus directory and a single-file archive share the verbs; per-document
-   verbs on a corpus need [--doc] to say which chain they mean. *)
-let require_doc = function
-  | Some doc -> doc
-  | None -> ok_or_die (Error "this archive is a corpus; pick a chain with --doc")
-
-let refuse_doc archive = function
-  | None -> ()
-  | Some _ ->
-    ok_or_die
-      (Error
-         (Printf.sprintf
-            "%s is a single-document archive (--doc applies to a corpus \
-             created with store init --shards)"
-            archive))
 
 let policy_string ~interval ~max_replay_ops =
   match (interval, max_replay_ops) with
@@ -716,88 +692,78 @@ let policy_string ~interval ~max_replay_ops =
   | 0, m -> Printf.sprintf "checkpoint beyond %d replay ops" m
   | n, m -> Printf.sprintf "checkpoint every %d commits or %d replay ops" n m
 
+let plural n = if n = 1 then "" else "s"
+
 let run_store_init archive interval max_replay_ops shards =
   handle_errors @@ fun () ->
-  if shards > 0 then begin
-    let corpus = ok_or_die (Shard.init ~interval ~max_replay_ops ~shards archive) in
-    Printf.printf "initialized corpus %s (%d shards, %s)\n" (Shard.dir corpus)
-      (Shard.shards corpus)
-      (policy_string ~interval:(Shard.interval corpus)
-         ~max_replay_ops:(Shard.max_replay_ops corpus))
-  end
-  else begin
-    let store = ok_or_die (Store.init ~interval ~max_replay_ops archive) in
-    Printf.printf "initialized %s (%s)\n" (Store.path store)
-      (policy_string ~interval:(Store.interval store)
-         ~max_replay_ops:(Store.max_replay_ops store))
-  end
+  let corpus = ok_or_die (Shard.init ~interval ~max_replay_ops ~shards archive) in
+  Printf.printf "initialized %s (%d shard%s, %s)\n" (Shard.dir corpus)
+    (Shard.shards corpus) (plural (Shard.shards corpus))
+    (policy_string ~interval:(Shard.interval corpus)
+       ~max_replay_ops:(Shard.max_replay_ops corpus))
 
 let run_store_commit archive tree_file format lenient doc =
   handle_errors @@ fun () ->
   let gen = Treediff_tree.Tree.gen () in
   let tree = parse_tree ~lenient format gen (read_file tree_file) in
-  let entry =
-    if Shard.is_corpus archive then
-      let corpus = open_corpus archive in
-      ok_or_die (Shard.commit corpus ~doc:(require_doc doc) tree)
-    else begin
-      refuse_doc archive doc;
-      ok_or_die (Store.commit (open_store archive) tree)
-    end
-  in
+  let entry = ok_or_die (Shard.commit (open_corpus archive) ~doc tree) in
   Printf.printf "committed version %d (%s, %d ops, %d bytes)\n"
-    entry.Store.version
-    (Store.kind_name entry.Store.kind)
-    entry.Store.ops entry.Store.bytes
+    entry.Shard.version
+    (Chain.kind_name entry.Shard.kind)
+    entry.Shard.ops entry.Shard.bytes
 
 let print_entries entries =
   Printf.printf "%-8s %-10s %6s %8s %8s  %s\n" "version" "kind" "ops" "bytes"
     "next_id" "hash";
   List.iter
-    (fun (e : Store.entry) ->
-      Printf.printf "%-8d %-10s %6d %8d %8d  %016Lx\n" e.Store.version
-        (Store.kind_name e.Store.kind)
-        e.Store.ops e.Store.bytes e.Store.next_id e.Store.hash)
+    (fun (e : Shard.entry) ->
+      Printf.printf "%-8d %-10s %6d %8d %8d  %016Lx\n" e.Shard.version
+        (Chain.kind_name e.Shard.kind)
+        e.Shard.ops e.Shard.bytes e.Shard.next_id e.Shard.hash)
     entries
 
 let run_store_log archive doc =
   handle_errors @@ fun () ->
-  if Shard.is_corpus archive then begin
-    let corpus = open_corpus archive in
-    match doc with
-    | Some doc -> print_entries (ok_or_die (Shard.log corpus doc))
-    | None ->
-      Printf.printf "%-24s %8s %5s  %s\n" "document" "versions" "shard"
-        "head hash";
-      List.iter
-        (fun d ->
-          Printf.printf "%-24s %8d %5d  %s\n" d (Shard.versions corpus d)
-            (Shard.shard_of corpus d)
-            (match Shard.head_hash corpus d with
-            | Some h -> Printf.sprintf "%016Lx" h
-            | None -> "-"))
-        (Shard.docs corpus)
-  end
-  else begin
-    refuse_doc archive doc;
-    print_entries (Store.log (open_store archive))
-  end
+  let corpus = open_corpus archive in
+  match doc with
+  | Some doc -> print_entries (ok_or_die (Shard.log corpus doc))
+  | None ->
+    Printf.printf "%-24s %8s %5s  %s\n" "document" "versions" "shard" "head hash";
+    List.iter
+      (fun d ->
+        Printf.printf "%-24s %8d %5d  %s\n" d (Shard.versions corpus d)
+          (Shard.shard_of corpus d)
+          (match Shard.head_hash corpus d with
+          | Some h -> Printf.sprintf "%016Lx" h
+          | None -> "-"))
+      (Shard.docs corpus)
 
-let run_store_show archive version output =
+let run_store_show archive version output doc =
   handle_errors @@ fun () ->
-  let store = open_store archive in
-  let e = ok_or_die (Store.entry store version) in
+  let corpus = open_corpus archive in
+  let entries = ok_or_die (Shard.log corpus doc) in
+  let e =
+    match List.find_opt (fun (e : Shard.entry) -> e.Shard.version = version) entries with
+    | Some e -> e
+    | None ->
+      ok_or_die
+        (Error
+           (Printf.sprintf "no version %d of %S (it holds %d..%d)" version doc
+              (List.hd entries).Shard.version
+              (Shard.versions corpus doc - 1)))
+  in
   let header =
     Printf.sprintf "version %d: %s, %d ops, %d bytes, next_id %d, hash %016Lx\n"
-      e.Store.version
-      (Store.kind_name e.Store.kind)
-      e.Store.ops e.Store.bytes e.Store.next_id e.Store.hash
+      e.Shard.version
+      (Chain.kind_name e.Shard.kind)
+      e.Shard.ops e.Shard.bytes e.Shard.next_id e.Shard.hash
   in
   let body =
-    match e.Store.kind with
-    | Store.Snapshot -> ""
-    | Store.Delta | Store.Checkpoint ->
-      Treediff_edit.Script_io.to_string (ok_or_die (Store.script_of store version))
+    match e.Shard.kind with
+    | Chain.Snapshot -> ""
+    | Chain.Delta | Chain.Checkpoint ->
+      Treediff_edit.Script_io.to_string
+        (ok_or_die (Shard.script_of corpus ~doc version))
   in
   write_out output (header ^ body)
 
@@ -809,16 +775,7 @@ let run_store_materialize archive version verify budget_ms format output doc =
         Treediff_util.Exec.create ~budget:(Treediff_util.Budget.make ~deadline_ms:ms ()) ())
       budget_ms
   in
-  let result =
-    if Shard.is_corpus archive then
-      Shard.materialize ~verify ?exec (open_corpus archive)
-        ~doc:(require_doc doc) version
-    else begin
-      refuse_doc archive doc;
-      Store.materialize ~verify ?exec (open_store archive) version
-    end
-  in
-  match result with
+  match Shard.materialize ~verify ?exec (open_corpus archive) ~doc version with
   | Ok tree -> write_out output (print_tree format tree)
   | Error msg -> ok_or_die (Error msg)
   | exception Treediff_util.Budget.Exceeded e ->
@@ -827,38 +784,25 @@ let run_store_materialize archive version verify budget_ms format output doc =
 
 let run_store_diff archive from_ to_ output doc =
   handle_errors @@ fun () ->
-  let script =
-    if Shard.is_corpus archive then
-      ok_or_die
-        (Shard.diff_between (open_corpus archive) ~doc:(require_doc doc) ~from_
-           ~to_)
-    else begin
-      refuse_doc archive doc;
-      ok_or_die (Store.diff_between (open_store archive) ~from_ ~to_)
-    end
-  in
+  let script = ok_or_die (Shard.diff_between (open_corpus archive) ~doc ~from_ ~to_) in
   write_out output (Treediff_edit.Script_io.to_string script)
 
-let run_store_gc archive prune_before jobs =
+let run_store_gc archive prune_before doc jobs =
   handle_errors @@ fun () ->
-  if Shard.is_corpus archive then begin
-    (match prune_before with
-    | None -> ()
-    | Some _ ->
-      ok_or_die (Error "--prune-before applies to single-document archives"));
-    let corpus = open_corpus archive in
-    let before, after = ok_or_die (Shard.gc ?jobs corpus) in
-    Printf.printf "compacted corpus %s: %d -> %d bytes (%d shards)\n"
-      (Shard.dir corpus) before after (Shard.shards corpus)
-  end
-  else begin
-    let store = open_store archive in
-    let before, after = ok_or_die (Store.gc ?prune_before store) in
-    Printf.printf "compacted %s: %d -> %d bytes (base version %d)\n"
-      (Store.path store) before after (Store.base_version store)
-  end
-
-(* ---------------------------------------------------- corpus-only verbs *)
+  let prune_before =
+    match (doc, prune_before) with
+    | Some doc, Some p -> Some (doc, p)
+    | None, None -> None
+    | None, Some _ -> ok_or_die (Error "--prune-before prunes one document: name it with --doc")
+    | Some _, None -> ok_or_die (Error "--doc applies to gc only with --prune-before")
+  in
+  let corpus = open_corpus archive in
+  let before, after = ok_or_die (Shard.gc ?jobs ?prune_before corpus) in
+  Printf.printf "compacted %s: %d -> %d bytes (%d shard%s)\n" (Shard.dir corpus)
+    before after (Shard.shards corpus) (plural (Shard.shards corpus));
+  Option.iter
+    (fun (doc, p) -> Printf.printf "%s now starts at version %d\n" doc p)
+    prune_before
 
 (* An ingest source directory: one subdirectory per document, whose files
    (in lexicographic order) are the successive versions. *)
@@ -934,55 +878,43 @@ let run_store_ingest archive docs_dir jobs chunk_docs budget_ms format lenient =
 
 let run_store_stats archive =
   handle_errors @@ fun () ->
-  if Shard.is_corpus archive then begin
-    let corpus = open_corpus archive in
-    let s = Shard.stats corpus in
-    let shard_total = Array.fold_left ( + ) 0 s.Shard.stat_shard_bytes in
-    let largest = Array.fold_left max 0 s.Shard.stat_shard_bytes in
-    Printf.printf "%s: %d shards, %d document(s), %d version(s)\n" archive
-      s.Shard.stat_shards s.Shard.stat_docs s.Shard.stat_versions;
-    Printf.printf "shard bytes: %d total, %d largest; manifest bytes: %d\n"
-      shard_total largest s.Shard.stat_manifest_bytes;
-    Printf.printf "epoch %d; %d aborted commit(s) awaiting gc\n" s.Shard.stat_epoch
-      s.Shard.stat_aborted
-  end
-  else begin
-    (* the single-file archive is the 1-shard special case *)
-    let store = open_store archive in
-    let bytes =
-      match Unix.stat archive with
-      | { Unix.st_size; _ } -> st_size
-      | exception Unix.Unix_error _ -> 0
-    in
-    Printf.printf "%s: 1 shard (single-file archive), %d version(s), %d bytes\n"
-      archive (Store.versions store) bytes
-  end
+  let s = Shard.stats (open_corpus archive) in
+  let shard_total = Array.fold_left ( + ) 0 s.Shard.stat_shard_bytes in
+  let largest = Array.fold_left max 0 s.Shard.stat_shard_bytes in
+  Printf.printf "%s: %d shards, %d document(s), %d version(s)\n" archive
+    s.Shard.stat_shards s.Shard.stat_docs s.Shard.stat_versions;
+  Printf.printf "shard bytes: %d total, %d largest; manifest bytes: %d\n"
+    shard_total largest s.Shard.stat_manifest_bytes;
+  Printf.printf "epoch %d; %d aborted commit(s) awaiting gc\n" s.Shard.stat_epoch
+    s.Shard.stat_aborted
 
 let run_store_verify archive jobs =
   handle_errors @@ fun () ->
-  if Shard.is_corpus archive then begin
-    let corpus = open_corpus archive in
-    let n = ok_or_die (Shard.verify ?jobs corpus) in
-    Printf.printf "verified %d version(s) across %d document(s)\n" n
-      (Shard.doc_count corpus)
-  end
-  else begin
-    let store = open_store archive in
-    for v = 0 to Store.versions store - 1 do
-      match Store.materialize ~verify:true store v with
-      | Ok _ -> ()
-      | Error msg -> ok_or_die (Error msg)
-    done;
-    Printf.printf "verified %d version(s)\n" (Store.versions store)
-  end
+  let corpus = open_corpus archive in
+  let n = ok_or_die (Shard.verify ?jobs corpus) in
+  Printf.printf "verified %d version(s) across %d document(s)\n" n
+    (Shard.doc_count corpus)
 
-let archive_new =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"ARCHIVE"
-         ~doc:"Archive file to create.")
+let run_store_migrate legacy dir doc =
+  handle_errors @@ fun () ->
+  let corpus, n = ok_or_die (Shard.migrate ~doc ~legacy dir) in
+  Printf.printf "migrated %s into %s: %d version(s) of %s verified (%s)\n" legacy
+    (Shard.dir corpus) n doc
+    (policy_string ~interval:(Shard.interval corpus)
+       ~max_replay_ops:(Shard.max_replay_ops corpus))
+
+let archive_new at =
+  Arg.(required & pos at (some string) None & info [] ~docv:"ARCHIVE"
+         ~doc:"Archive directory to create.")
 
 let archive =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"ARCHIVE"
-         ~doc:"Version archive (created by $(b,store init)).")
+         ~doc:"Archive directory (created by $(b,store init) or \
+               $(b,store migrate)).")
+
+let legacy_pos =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
+         ~doc:"Single-file archive written by an older release.")
 
 let store_interval =
   Arg.(value & opt int 8 & info [ "interval" ] ~docv:"N"
@@ -1014,21 +946,24 @@ let store_to =
 
 let store_prune =
   Arg.(value & opt (some int) None & info [ "prune-before" ] ~docv:"P"
-         ~doc:"Discard history older than version $(docv); $(docv) becomes \
-               the new base snapshot (version numbers are preserved).  \
-               Single-document archives only.")
+         ~doc:"Discard the history of the $(b,--doc) document older than \
+               version $(docv); $(docv) becomes its new base snapshot \
+               (version numbers are preserved).  Only that document's \
+               shard is rewritten.")
 
 let store_shards =
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N"
-         ~doc:"Create a sharded corpus directory with $(docv) hash-bucketed \
-               shard files and a write-ahead manifest, instead of a \
-               single-file archive.  The shard count is fixed for the \
-               corpus's lifetime.")
+  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
+         ~doc:"Number of hash-bucketed shard files behind the write-ahead \
+               manifest.  One suits an archive of a few documents; bulk \
+               corpora spread over more.  The shard count is fixed for the \
+               archive's lifetime.")
 
-let store_doc =
-  Arg.(value & opt (some string) None & info [ "doc" ] ~docv:"DOC"
-         ~doc:"Document name inside a corpus.  Required for per-document \
-               verbs on a corpus; rejected on a single-document archive.")
+let store_doc_info =
+  Arg.info [ "doc" ] ~docv:"DOC" ~doc:"Document name inside the archive."
+
+let store_doc = Arg.(required & opt (some string) None & store_doc_info)
+
+let store_doc_opt = Arg.(value & opt (some string) None & store_doc_info)
 
 let store_jobs =
   Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N"
@@ -1060,24 +995,24 @@ let store_cmds =
               :: Cmd.Exit.defaults in
   [
     Cmd.v
-      (Cmd.info "init"
-         ~doc:"create an empty version archive, or a sharded corpus with \
-               $(b,--shards)"
-         ~exits)
-      Term.(const run_store_init $ archive_new $ store_interval
+      (Cmd.info "init" ~doc:"create an empty archive" ~exits)
+      Term.(const run_store_init $ archive_new 0 $ store_interval
             $ store_max_replay $ store_shards);
     Cmd.v
-      (Cmd.info "commit" ~doc:"append a document as the next version" ~exits)
+      (Cmd.info "commit" ~doc:"append a document as its next version" ~exits)
       Term.(const run_store_commit $ archive $ tree_file_pos1 $ format_arg
             $ lenient $ store_doc);
     Cmd.v
       (Cmd.info "log"
-         ~doc:"list stored versions (or, for a corpus, its documents)" ~exits)
-      Term.(const run_store_log $ archive $ store_doc);
+         ~doc:"list the archive's documents, or one document's versions \
+               with $(b,--doc)"
+         ~exits)
+      Term.(const run_store_log $ archive $ store_doc_opt);
     Cmd.v
       (Cmd.info "show" ~doc:"print one version's metadata and stored delta"
          ~exits)
-      Term.(const run_store_show $ archive $ store_version_pos $ output);
+      Term.(const run_store_show $ archive $ store_version_pos $ output
+            $ store_doc);
     Cmd.v
       (Cmd.info "materialize" ~doc:"reconstruct a stored version" ~exits)
       Term.(const run_store_materialize $ archive $ store_version_pos
@@ -1089,16 +1024,17 @@ let store_cmds =
       Term.(const run_store_diff $ archive $ store_from $ store_to $ output
             $ store_doc);
     Cmd.v
-      (Cmd.info "gc" ~doc:"compact the archive, optionally pruning history"
-         ~exits)
-      Term.(const run_store_gc $ archive $ store_prune $ store_jobs);
+      (Cmd.info "gc"
+         ~doc:"compact the archive, or prune one document's history" ~exits)
+      Term.(const run_store_gc $ archive $ store_prune $ store_doc_opt
+            $ store_jobs);
     Cmd.v
       (Cmd.info "ingest"
-         ~doc:"bulk-load a document corpus from a directory tree" ~exits)
+         ~doc:"bulk-load documents from a directory tree" ~exits)
       Term.(const run_store_ingest $ archive $ docs_dir_pos $ store_jobs
             $ store_chunk_docs $ budget_ms $ format_arg $ lenient);
     Cmd.v
-      (Cmd.info "stats" ~doc:"corpus shape and on-disk size, without scanning"
+      (Cmd.info "stats" ~doc:"archive shape and on-disk size, without scanning"
          ~exits)
       Term.(const run_store_stats $ archive);
     Cmd.v
@@ -1106,26 +1042,37 @@ let store_cmds =
          ~doc:"materialize every stored version against its committed hash"
          ~exits)
       Term.(const run_store_verify $ archive $ store_jobs);
+    Cmd.v
+      (Cmd.info "migrate"
+         ~doc:"convert a single-file archive from an older release into a \
+               1-shard archive"
+         ~exits)
+      Term.(const run_store_migrate $ legacy_pos $ archive_new 1 $ store_doc);
   ]
 
 let store_cmd =
-  let doc = "delta-chain version archives and sharded document corpora" in
+  let doc = "delta-chain version archives" in
   let man =
     [
       `S Manpage.s_description;
-      `P "An archive stores a document's history as a base snapshot plus a \
-          chain of forward edit scripts, with periodic full-snapshot \
+      `P "An archive stores each document's history as a base snapshot plus \
+          a chain of forward edit scripts, with periodic full-snapshot \
           checkpoints so $(b,materialize) costs O(distance to the nearest \
           checkpoint).  Every commit is re-verified by the static checker \
           before it is written, and each record is checksummed so an \
           interrupted commit is isolated on reopen rather than corrupting \
           the history.";
-      `P "$(b,store init --shards N) creates a $(i,corpus): a directory of N \
-          hash-bucketed shard files fronted by a checksummed write-ahead \
-          manifest, holding many documents' chains.  Commits are atomic \
+      `P "An archive is a directory of hash-bucketed shard files \
+          ($(b,--shards), default 1) fronted by a checksummed write-ahead \
+          manifest, holding any number of documents.  Commits are atomic \
           across documents (a crash loses at most the in-flight commit, and \
           reopen needs no repair step), $(b,ingest) bulk-loads and resumes \
-          deterministically, and the per-document verbs take $(b,--doc).";
+          deterministically, and every per-document verb names its \
+          document with $(b,--doc).";
+      `P "The single-file archives of older releases are read by \
+          $(b,store migrate) alone, which converts one into a 1-shard \
+          archive with its version numbers, pruned base, checkpoints and \
+          scripts unchanged.";
     ]
   in
   Cmd.group (Cmd.info "store" ~doc ~man) store_cmds

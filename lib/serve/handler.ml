@@ -10,7 +10,6 @@ module Iso = Treediff_tree.Iso
 module Script = Treediff_edit.Script
 module Script_io = Treediff_edit.Script_io
 module Line_diff = Treediff_textdiff.Line_diff
-module Store = Treediff_store.Store
 module Shard = Treediff_store.Shard
 module Doc_format = Treediff_doc.Format
 module Render_diff = Treediff_doc.Render_diff
@@ -22,16 +21,13 @@ let pressure_name = function
   | Forced_approx -> "approx"
   | Flat_only -> "flat"
 
-(* An open archive handle kept warm between store requests: reopening a
-   large archive (or corpus manifest) per request is the dominant cost of
-   the store verbs.  The fingerprint is the identity+mtime+size of the
-   backing file (the MANIFEST, for a corpus): a hit is trusted only while
+(* An open archive handle kept warm between store requests: replaying a
+   large archive's manifest per request is the dominant cost of the store
+   verbs.  The fingerprint is the identity+mtime+size of the MANIFEST,
+   which every write to the archive changes: a hit is trusted only while
    it still matches, so an archive modified by another process — or
-   rewritten by gc, which renames a fresh inode into place — is silently
-   reopened rather than served stale. *)
-type store_handle = Single of Store.t | Corpus of Shard.t
-
-type cached_store = { handle : store_handle; fingerprint : string }
+   rewritten by gc — is silently reopened rather than served stale. *)
+type cached_store = { handle : Shard.t; fingerprint : string }
 
 type t = {
   default_deadline_ms : float;
@@ -424,19 +420,13 @@ let version_param name params =
   | Some _ -> raise (Bad_params (Printf.sprintf "param %S must be a version number" name))
   | None -> raise (Bad_params (Printf.sprintf "missing numeric param %S" name))
 
-let doc_param params = Json.mem_str "doc" params
-
-let require_doc_param = function
-  | Some doc -> Ok doc
-  | None -> Error "this archive is a corpus; pass \"doc\""
+let doc_param params =
+  match Json.mem_str "doc" params with
+  | Some doc -> doc
+  | None -> raise (Bad_params "missing string param \"doc\"")
 
 let store_fingerprint path =
-  let target =
-    if Sys.file_exists path && Sys.is_directory path then
-      Filename.concat path "MANIFEST"
-    else path
-  in
-  match Unix.stat target with
+  match Unix.stat (Filename.concat path "MANIFEST") with
   | { Unix.st_ino; st_mtime; st_size; _ } ->
     Some (Printf.sprintf "%d:%h:%d" st_ino st_mtime st_size)
   | exception Unix.Unix_error _ -> None
@@ -451,86 +441,73 @@ let store_revalidate t path handle =
 
 let with_store t ~budget params f =
   let path = archive_param params in
-  match store_fingerprint path with
-  | None ->
-    Error (Protocol.Bad_request, Printf.sprintf "store: no such archive %s" path)
-  | Some fp -> (
-    let cached =
-      match Cache.find t.stores path with
-      | Some { handle; fingerprint } when fingerprint = fp -> Some handle
-      | Some _ (* stale: modified or gc-rewritten since it was opened *)
-      | None -> None
-    in
-    let opened =
-      match cached with
-      | Some handle ->
-        t.store_hits <- t.store_hits + 1;
-        Ok handle
-      | None -> (
+  let fingerprint = store_fingerprint path in
+  let cached =
+    match (Cache.find t.stores path, fingerprint) with
+    | Some { handle; fingerprint = fp }, Some now when fp = now -> Some handle
+    | _ (* cold, or stale: modified or gc-rewritten since it was opened *) -> None
+  in
+  let opened =
+    match cached with
+    | Some handle ->
+      t.store_hits <- t.store_hits + 1;
+      Ok handle
+    | None -> (
+      (* the cached handle outlives this request, so it gets a plain
+         context; budgets are passed per operation.  Opening a path that
+         is no archive says why (a legacy file names its migration). *)
+      match Shard.open_ ~exec:(Exec.create ()) path with
+      | Error msg -> Error (Protocol.Bad_request, "store: " ^ msg)
+      | Ok handle ->
         t.store_misses <- t.store_misses + 1;
-        (* the cached handle outlives this request, so it gets a plain
-           context; budgets are passed per operation *)
-        let exec = Exec.create () in
-        let fresh =
-          if Shard.is_corpus path then
-            Result.map (fun c -> Corpus c) (Shard.open_ ~exec path)
-          else Result.map (fun s -> Single s) (Store.open_ ~exec path)
-        in
-        match fresh with
-        | Error msg -> Error (Protocol.Bad_request, "store: " ^ msg)
-        | Ok handle ->
-          Cache.put t.stores path { handle; fingerprint = fp };
-          Ok handle)
+        Option.iter
+          (fun fingerprint -> Cache.put t.stores path { handle; fingerprint })
+          fingerprint;
+        Ok handle)
+  in
+  match opened with
+  | Error _ as e -> e
+  | Ok handle ->
+    (* hand the operation the residual allowance of this request *)
+    let exec =
+      Exec.create
+        ~budget:(Budget.make ~deadline_ms:(Budget.remaining_ms budget) ())
+        ()
     in
-    match opened with
-    | Error _ as e -> e
-    | Ok handle ->
-      (* hand the operation the residual allowance of this request *)
-      let exec =
-        Exec.create
-          ~budget:(Budget.make ~deadline_ms:(Budget.remaining_ms budget) ())
-          ()
-      in
-      f ~exec handle)
+    f ~exec handle
 
-let entry_json (e : Store.entry) =
+let entry_json (e : Shard.entry) =
   Json.Obj
     [
-      ("version", Json.int e.Store.version);
-      ("kind", Json.Str (Store.kind_name e.Store.kind));
-      ("ops", Json.int e.Store.ops);
-      ("bytes", Json.int e.Store.bytes);
-      ("hash", Json.Str (Printf.sprintf "%016Lx" e.Store.hash));
+      ("version", Json.int e.Shard.version);
+      ("kind", Json.Str (Treediff_store.Chain.kind_name e.Shard.kind));
+      ("ops", Json.int e.Shard.ops);
+      ("bytes", Json.int e.Shard.bytes);
+      ("hash", Json.Str (Printf.sprintf "%016Lx" e.Shard.hash));
     ]
 
 let run_store t ~budget verb req =
   let params = req.Protocol.params in
-  let store_err msg = Error (Protocol.Bad_request, "store: " ^ msg) in
+  let answer to_json = function
+    | Ok v -> Ok (to_json v)
+    | Error msg -> Error (Protocol.Bad_request, "store: " ^ msg)
+  in
   match verb with
   | "store/log" ->
-    with_store t ~budget params (fun ~exec:_ handle ->
-        match (handle, doc_param params) with
-        | Single store, _ ->
-          Ok
-            (Json.Obj
-               [
-                 ("versions", Json.int (Store.versions store));
-                 ("truncated_tail", Json.Bool (Store.truncated_tail store));
-                 ("entries", Json.Arr (List.map entry_json (Store.log store)));
-               ])
-        | Corpus corpus, Some doc -> (
-          match Shard.log corpus doc with
-          | Ok entries ->
-            Ok
-              (Json.Obj
-                 [
-                   ("doc", Json.Str doc);
-                   ("versions", Json.int (List.length entries));
-                   ("entries", Json.Arr (List.map entry_json entries));
-                 ])
-          | Error msg -> store_err msg)
-        | Corpus corpus, None ->
-          (* no doc: the corpus catalog, one row per document *)
+    with_store t ~budget params (fun ~exec:_ corpus ->
+        match Json.mem_str "doc" params with
+        | Some doc ->
+          answer
+            (fun entries ->
+              Json.Obj
+                [
+                  ("doc", Json.Str doc);
+                  ("versions", Json.int (List.length entries));
+                  ("entries", Json.Arr (List.map entry_json entries));
+                ])
+            (Shard.log corpus doc)
+        | None ->
+          (* no doc: the catalog, one row per document *)
           Ok
             (Json.Obj
                [
@@ -541,73 +518,40 @@ let run_store t ~budget verb req =
                          Json.Obj
                            [
                              ("doc", Json.Str d);
-                             ("versions",
-                              Json.int (Shard.versions corpus d));
-                             ("shard",
-                              Json.int (Shard.shard_of corpus d));
+                             ("versions", Json.int (Shard.versions corpus d));
+                             ("shard", Json.int (Shard.shard_of corpus d));
                            ])
                        (Shard.docs corpus)));
-                 ("versions",
-                  Json.int (Shard.total_versions corpus));
+                 ("versions", Json.int (Shard.total_versions corpus));
                  ("shards", Json.int (Shard.shards corpus));
                ]))
   | "store/materialize" ->
-    with_store t ~budget params (fun ~exec handle ->
+    with_store t ~budget params (fun ~exec corpus ->
         let version = version_param "version" params in
-        let verify =
-          Option.value ~default:true (Json.mem_bool "verify" params)
-        in
-        let tree =
-          match handle with
-          | Single store -> Store.materialize ~verify ~exec store version
-          | Corpus corpus ->
-            Result.bind (require_doc_param (doc_param params)) (fun doc ->
-                Shard.materialize ~verify ~exec corpus ~doc version)
-        in
-        match tree with
-        | Ok tree ->
-          (* the response honours the request's format, like the CLI's
-             [store materialize -f] *)
-          let fmt = format_of_params params in
-          Ok (Json.Obj [ ("tree", Json.Str (fmt.Doc_format.render tree)) ])
-        | Error msg -> store_err msg)
+        let verify = Option.value ~default:true (Json.mem_bool "verify" params) in
+        (* the response honours the request's format, like the CLI's
+           [store materialize -f] *)
+        let fmt = format_of_params params in
+        answer
+          (fun tree -> Json.Obj [ ("tree", Json.Str (fmt.Doc_format.render tree)) ])
+          (Shard.materialize ~verify ~exec corpus ~doc:(doc_param params) version))
   | "store/commit" ->
-    with_store t ~budget params (fun ~exec handle ->
+    with_store t ~budget params (fun ~exec corpus ->
         let gen = Treediff_tree.Tree.gen () in
         let fmt = format_of_params params in
         let lenient = lenient_of_params params in
         let tree = parse_tree_param ~gen ~fmt ~lenient "tree" params in
-        match handle with
-        | Single store -> (
-          match Store.commit ~exec store tree with
-          | Ok entry ->
-            store_revalidate t (archive_param params) handle;
-            Ok (entry_json entry)
-          | Error msg -> store_err msg)
-        | Corpus corpus -> (
-          match
-            Result.bind (require_doc_param (doc_param params)) (fun doc ->
-                Shard.commit ~exec corpus ~doc tree)
-          with
-          | Ok entry ->
-            store_revalidate t (archive_param params) handle;
-            Ok (entry_json entry)
-          | Error msg -> store_err msg))
+        let committed = Shard.commit ~exec corpus ~doc:(doc_param params) tree in
+        if Result.is_ok committed then
+          store_revalidate t (archive_param params) corpus;
+        answer entry_json committed)
   | "store/diff" ->
-    with_store t ~budget params (fun ~exec handle ->
+    with_store t ~budget params (fun ~exec corpus ->
         let from_ = version_param "from" params in
         let to_ = version_param "to" params in
-        let script =
-          match handle with
-          | Single store -> Store.diff_between ~exec store ~from_ ~to_
-          | Corpus corpus ->
-            Result.bind (require_doc_param (doc_param params)) (fun doc ->
-                Shard.diff_between ~exec corpus ~doc ~from_ ~to_)
-        in
-        match script with
-        | Ok script ->
-          Ok (Json.Obj [ ("script", Json.Str (Script_io.to_string script)) ])
-        | Error msg -> store_err msg)
+        answer
+          (fun script -> Json.Obj [ ("script", Json.Str (Script_io.to_string script)) ])
+          (Shard.diff_between ~exec corpus ~doc:(doc_param params) ~from_ ~to_))
   | v -> Error (Protocol.Bad_request, Printf.sprintf "unknown store verb %S" v)
 
 (* ------------------------------------------------------------ stats verb *)

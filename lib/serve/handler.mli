@@ -42,12 +42,12 @@ val create :
 (** [faults] is the {e server's} long-lived registry (the [serve.*]
     points); per-request pipeline registries are created fresh inside
     {!handle}.  [store_handles] (default 8) bounds the LRU cache of open
-    archive/corpus handles kept warm between store requests; a cached
-    handle is revalidated against the backing file's identity, mtime and
-    size on every use and silently reopened when stale, so external
-    writers (or a gc rewrite) are always picked up.  [allow_crash]
-    (default [false]) enables the debug [crash] verb used by the
-    crash-isolation tests and bench. *)
+    archive handles kept warm between store requests; a cached handle is
+    revalidated against its MANIFEST's identity, mtime and size on every
+    use and silently reopened when stale, so external writers (or a gc
+    rewrite) are always picked up.  [allow_crash] (default [false])
+    enables the debug [crash] verb used by the crash-isolation tests and
+    bench. *)
 
 type outcome =
   | Payload of string  (** response frame payload to send back *)

@@ -231,6 +231,24 @@ let materialize ?(verify = false) ~exec entries v =
              "version %d: materialized tree does not match the stored hash" v)
       else Ok tree)
 
+(* Prune history below [p]: a forged {!Snapshot} for [p] (its tree, hash
+   and id floor) followed by the records above it, version numbers kept. *)
+let rebase ~exec entries p =
+  let base = base_version entries in
+  let last = base + Array.length entries - 1 in
+  if Array.length entries = 0 then Error "empty archive: nothing to prune"
+  else if p < base || p > last then
+    Error (Printf.sprintf "prune point %d outside stored versions %d..%d" p base last)
+  else if p = base then Ok entries
+  else
+    Result.bind (materialize ~exec entries p) @@ fun tree ->
+    let at = entries.(p - base).meta in
+    let payload =
+      snapshot_payload ~version:p ~next_id:at.next_id ~hash:at.hash (Codec.encode tree)
+    in
+    Result.bind (parse_record { Container.tag = tag_snapshot; payload }) @@ fun forged ->
+    Ok (Array.append [| forged |] (Array.sub entries (p - base + 1) (last - p)))
+
 (* ----------------------------------------------------------------- commit *)
 
 type policy = { interval : int; max_replay_ops : int }

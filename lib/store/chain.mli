@@ -1,15 +1,13 @@
-(** Per-document delta-chain logic, shared by the single-file {!Store} and
-    the sharded corpus store ({!Shard}).
+(** Per-document delta-chain logic for the corpus store ({!Shard}).
 
     A chain is the in-memory image of one document's history: a base
     {!Snapshot} followed by {!Delta} records (forward + inverse scripts) with
     periodic full-snapshot {!Checkpoint}s.  This module owns everything that
     is {e per document} and knows nothing about files: record payload
     encode/parse, replay planning and materialization, the checkpoint
-    policy, the commit computation (diff → verify → invert → encode) and
-    range composition.  {!Store} runs one chain over one {!Container} file —
-    the 1-shard, 1-document special case — while {!Shard} multiplexes many
-    chains into hash-bucketed shard files behind a write-ahead manifest. *)
+    policy, the commit computation (diff → verify → invert → encode), range
+    composition and history pruning.  {!Shard} multiplexes many chains into
+    hash-bucketed shard files behind a write-ahead manifest. *)
 
 type kind = Snapshot | Delta | Checkpoint
 
@@ -37,17 +35,10 @@ type parsed = {
 }
 
 val tag_snapshot : char
-
-val tag_delta : char
-
-val tag_checkpoint : char
+(** The tag of version 0 and of a base {!rebase} forged: the only records a
+    chain may start with. *)
 
 val known_tag : char -> bool
-
-val snapshot_payload :
-  version:int -> next_id:int -> hash:int64 -> string -> string
-(** Encode a full-snapshot payload around the binary-codec tree bytes (the
-    gc rebase path also uses this to forge a new base). *)
 
 val parse_record : Container.record -> (parsed, string) result
 
@@ -56,7 +47,7 @@ val validate : parsed list -> (parsed array, string) result
     first record carries a snapshot. *)
 
 val base_version : parsed array -> int
-(** Oldest stored version ([0] unless gc pruned history). *)
+(** Oldest stored version ([0] unless {!rebase} pruned history). *)
 
 val find : parsed array -> int -> (parsed, string) result
 
@@ -71,6 +62,15 @@ val materialize :
     the target, whichever is cheaper in total operations.  The exec's budget
     is charged one visit per replayed operation.  The returned tree is
     fresh — mutating it cannot corrupt the chain.
+    @raise Treediff_util.Budget.Exceeded when the budget trips. *)
+
+val rebase :
+  exec:Treediff_util.Exec.t -> parsed array -> int -> (parsed array, string) result
+(** [rebase ~exec entries p] prunes history below version [p]: a forged
+    {!Snapshot} of [p] (materialized, with [p]'s hash and id floor) followed
+    by the records above [p] unchanged, so version numbers survive.  The
+    chain itself when [p] is already its base; an error when [p] is outside
+    the stored versions.
     @raise Treediff_util.Budget.Exceeded when the budget trips. *)
 
 (** {1 Commit computation} *)
@@ -131,8 +131,23 @@ val diff_between :
   from_:int ->
   to_:int ->
   (Treediff_edit.Script.t, string) result
-(** One composed script carrying [from_] to [to_], canonicalized and proved
-    equivalent to the raw composition by the interference analyzer — see
-    {!Store.diff_between} for the full output contract.  [materialize] is
-    how this chain reconstructs a version (budgets and caching are the
-    caller's). *)
+(** One composed script carrying [from_] to [to_] ({!Treediff_edit.Script.compose}
+    over the stored chain — forward deltas when [from_ < to_], stored
+    inverses when [from_ > to_]), applicable directly to the
+    materialization of [from_].  [materialize] is how this chain
+    reconstructs a version (budgets and caching are the caller's).
+
+    Output contract, enforced by the interference analyzer
+    ({!Treediff_check.Depgraph}) rather than assumed: the returned script
+    is in canonical dependence order, §4 phase-ordered, and proved
+    equivalent to the raw composition — a divergence (TD501) is returned
+    as an [Error], never as a silently wrong script.  The analyzer first
+    normalizes the composition (eliding churn that cancels across the
+    range, then reordering canonically); when a genuine cross-step
+    dependence pins a non-delete after a delete, the script is instead
+    re-emitted by Algorithm EditScript under the identity matching on the
+    chain's shared id space — same endpoints, and minimal — then
+    canonically ordered.  Versions whose roots did not match at commit
+    time (dummy-rooted deltas) changed root identity, which no plain
+    script can express; these ranges are refused with an explanatory
+    error. *)

@@ -14,7 +14,7 @@
     leaves a tail {!scan} detects and isolates: every record before the tail
     stays readable, [truncated_tail] reports the damage, and the next
     {!append} truncates the garbage before writing.  Payload semantics
-    (snapshots, delta chains) live one layer up, in {!Store}. *)
+    (snapshots, delta chains) live one layer up, in {!Chain}. *)
 
 type error =
   | Io of string

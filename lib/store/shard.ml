@@ -91,6 +91,14 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
+(* Run on the caller's pool, or a temporary one of [jobs] domains. *)
+let on_pool ?jobs ?pool run =
+  match pool with
+  | Some p -> run p
+  | None ->
+    let jobs = match jobs with Some j -> j | None -> Pool.recommended_jobs () in
+    Pool.with_pool ~jobs run
+
 let merr = function
   | Ok v -> Ok v
   | Error e -> Error (Manifest.error_to_string e)
@@ -142,9 +150,20 @@ let of_replayed ?exec dir (m : Manifest.replayed) =
     manifest_damaged = m.Manifest.truncated_tail;
   }
 
+(* A regular file that scans as a container is a single-file archive from
+   an older release: name the one command that reads it. *)
+let not_a_corpus dir =
+  if Sys.file_exists dir && (not (Sys.is_directory dir))
+     && Result.is_ok (Container.scan dir)
+  then
+    Printf.sprintf
+      "%s is a single-file archive from an older release; convert it once \
+       with `treediff store migrate %s DIR --doc NAME`"
+      dir dir
+  else Printf.sprintf "%s is not a corpus store (no %s)" dir manifest_name
+
 let open_ ?exec dir =
-  if not (is_corpus dir) then
-    Error (Printf.sprintf "%s is not a corpus store (no %s)" dir manifest_name)
+  if not (is_corpus dir) then Error (not_a_corpus dir)
   else
     match Manifest.replay (Filename.concat dir manifest_name) with
     | Error e -> Error (Manifest.error_to_string e)
@@ -285,22 +304,26 @@ let decode index slot =
   let off = slot lsr len_bits and len = slot land len_mask in
   (off, if len = len_mask then Hashtbl.find index.long off else len)
 
-(* The [offset; length] pairs of the first [upto] versions of [doc], flat,
-   or the first version with no record. *)
+(* The first indexed version of [doc] (above 0 only for a pruned chain,
+   whose first record the loader checks) and the [offset; length] pairs
+   from there up to [upto], flat — or the first version with no record. *)
 let index_spans index doc ~upto =
   let slots = Option.value (Hashtbl.find_opt index.slots doc) ~default:no_slots in
-  let spans = Array.make (2 * upto) 0 in
+  let n = min upto (Ba.dim slots) in
+  let rec first v = if v < n && slots.{v} < 0 then first (v + 1) else v in
+  let base = first 0 in
+  let spans = Array.make (2 * (upto - base)) 0 in
   let rec fill v =
-    if v >= upto then Ok spans
+    if v >= upto then Ok (base, spans)
     else if v >= Ba.dim slots || slots.{v} < 0 then Error v
     else begin
       let off, len = decode index slots.{v} in
-      spans.(2 * v) <- off;
-      spans.((2 * v) + 1) <- len;
+      spans.(2 * (v - base)) <- off;
+      spans.((2 * (v - base)) + 1) <- len;
       fill (v + 1)
     end
   in
-  fill 0
+  if base = n then Error 0 else fill base
 
 (* Every (doc, version, offset, length) an index holds, sorted. *)
 let index_entries index =
@@ -378,27 +401,33 @@ let ensure_shard_end t s =
 
 (* The one chain load: the records of [doc] below [upto], read through the
    shard's index by positioned reads under the shard lock.  Each record is
-   checksummed again and must carry the doc and version of its slot. *)
+   checksummed again and must carry the doc and version of its slot.  The
+   chain may start above version 0 only at a snapshot (a base gc forged);
+   any other gap is a missing record. *)
 let load_chain t ~shard ~doc ~upto =
   let path = shard_path t shard in
+  let missing v =
+    Error
+      (Printf.sprintf "%s: committed version %d of %S is missing from its shard"
+         path v doc)
+  in
   let read =
     with_lock t.shard_locks.(shard) @@ fun () ->
     Result.bind (ensure_shard_end t shard) @@ fun () ->
     match index_spans t.indexes.(shard) doc ~upto with
-    | Error v ->
-      Error
-        (Printf.sprintf "%s: committed version %d of %S is missing from its shard"
-           path v doc)
-    | Ok spans ->
-      Result.map_error
-        (fun e -> path ^ ": " ^ Container.error_to_string e)
-        (Container.read_records path spans)
+    | Error v -> missing v
+    | Ok (base, spans) ->
+      Result.map
+        (fun records -> (base, records))
+        (Result.map_error
+           (fun e -> path ^ ": " ^ Container.error_to_string e)
+           (Container.read_records path spans))
   in
-  Result.bind read @@ fun records ->
+  Result.bind read @@ fun (base, records) ->
   let rec parse v acc =
-    if v < 0 then Ok acc
+    if v < base then Ok acc
     else
-      let record = records.(v) in
+      let record = records.(v - base) in
       match unframe_record record with
       | exception Bad_shard_record msg -> Error (path ^ ": " ^ msg)
       | d, _seq, version, chain_off ->
@@ -412,10 +441,12 @@ let load_chain t ~shard ~doc ~upto =
           | Error msg -> Error (Printf.sprintf "%s: %S version %d: %s" path doc v msg)
           | Ok p -> parse (v - 1) (p :: acc))
   in
-  Result.bind (parse (upto - 1) []) @@ fun parsed ->
-  Result.map_error
-    (fun msg -> Printf.sprintf "%s: %S: %s" path doc msg)
-    (Chain.validate parsed)
+  if base > 0 && records.(0).Container.tag <> Chain.tag_snapshot then missing (base - 1)
+  else
+    Result.bind (parse (upto - 1) []) @@ fun parsed ->
+    Result.map_error
+      (fun msg -> Printf.sprintf "%s: %S: %s" path doc msg)
+      (Chain.validate parsed)
 
 (* Cache-touch under the state lock; the load itself runs without it (a
    concurrent load of the same doc is idempotent, and a load that a commit
@@ -464,6 +495,14 @@ let materialize ?(verify = false) ?exec t ~doc v =
   let exec = match exec with Some e -> e | None -> t.exec_ in
   Result.bind (chain t doc) @@ fun (_, entries) ->
   Chain.materialize ~verify ~exec entries v
+
+let script_of t ~doc v =
+  Result.bind (chain t doc) @@ fun (_, entries) ->
+  match Chain.find entries v with
+  | Error _ as e -> e
+  | Ok { Chain.meta = { kind = Chain.Snapshot; _ }; _ } ->
+    Error (Printf.sprintf "version %d is a full snapshot, not a delta" v)
+  | Ok p -> Ok p.Chain.fwd
 
 let diff_between ?exec t ~doc ~from_ ~to_ =
   let e = match exec with Some e -> e | None -> t.exec_ in
@@ -548,7 +587,8 @@ let publish t updates =
       ds.ds_versions <- p.Chain.meta.version + 1;
       ds.ds_head_hash <- p.Chain.meta.hash;
       (match ds.ds_chain with
-      | Some entries when Array.length entries = p.Chain.meta.version ->
+      | Some entries
+        when Chain.base_version entries + Array.length entries = p.Chain.meta.version ->
         ds.ds_chain <- Some (Array.append entries [| p |])
       | Some _ -> ds.ds_chain <- None
       | None -> ());
@@ -697,6 +737,37 @@ type report = {
   chunks : int;
 }
 
+(* Publish a durable bulk commit with catalog-only memory: the documents it
+   wrote drop their chains and heads. *)
+let publish_infos t infos =
+  with_lock t.state_lock @@ fun () ->
+  List.iter
+    (fun (info : Manifest.doc_info) ->
+      let doc = info.Manifest.doc in
+      let ds =
+        match Hashtbl.find_opt t.catalog doc with
+        | Some ds -> ds
+        | None ->
+          let ds =
+            {
+              ds_shard = info.Manifest.shard;
+              ds_versions = 0;
+              ds_head_hash = 0L;
+              ds_chain = None;
+              ds_head = None;
+            }
+          in
+          Hashtbl.replace t.catalog doc ds;
+          ds
+      in
+      ds.ds_versions <- info.Manifest.versions;
+      ds.ds_head_hash <- info.Manifest.head_hash;
+      ds.ds_chain <- None;
+      ds.ds_head <- None;
+      t.loaded <- List.filter (( <> ) doc) t.loaded)
+    infos;
+  t.epoch <- t.epoch + 1
+
 (* What the parallel compute phase hands the serial append phase for one
    document: every new record in version order plus the final head. *)
 type computed_doc = {
@@ -843,36 +914,7 @@ let ingest ?config ?jobs ?pool ?(chunk_docs = 16) ?budget_ms ?on_chunk t sources
               computed
           in
           Result.bind (end_commit ~exec:t.exec_ t ~seq infos) @@ fun () ->
-          (* Catalog-only memory: finished documents drop their chains. *)
-          with_lock t.state_lock (fun () ->
-              List.iter
-                (fun (info : Manifest.doc_info) ->
-                  let ds =
-                    match Hashtbl.find_opt t.catalog info.Manifest.doc with
-                    | Some ds -> ds
-                    | None ->
-                      let ds =
-                        {
-                          ds_shard = info.Manifest.shard;
-                          ds_versions = 0;
-                          ds_head_hash = 0L;
-                          ds_chain = None;
-                          ds_head = None;
-                        }
-                      in
-                      Hashtbl.replace t.catalog info.Manifest.doc ds;
-                      ds
-                  in
-                  ds.ds_versions <- info.Manifest.versions;
-                  ds.ds_head_hash <- info.Manifest.head_hash;
-                  ds.ds_chain <- None;
-                  ds.ds_head <- None)
-                infos;
-              t.loaded <-
-                List.filter
-                  (fun d -> not (List.exists (fun cd -> cd.cd_doc = d) computed))
-                  t.loaded;
-              t.epoch <- t.epoch + 1);
+          publish_infos t infos;
           incr chunks;
           ingested := !ingested + List.length computed;
           appended :=
@@ -901,11 +943,7 @@ let ingest ?config ?jobs ?pool ?(chunk_docs = 16) ?budget_ms ?on_chunk t sources
           })
         (over (chunk_list chunk_docs sources))
     in
-    match pool with
-    | Some p -> run p
-    | None ->
-      let jobs = match jobs with Some j -> j | None -> Pool.recommended_jobs () in
-      Pool.with_pool ~jobs run
+    on_pool ?jobs ?pool run
   end
 
 (* ------------------------------------------------------------ maintenance *)
@@ -947,23 +985,42 @@ let committed counts doc = Option.value (Hashtbl.find_opt counts doc) ~default:0
 
 (* Keep exactly the visible records of a shard, the winners its index names
    below the committed count, and index the rewritten file: the kept
-   records lie back to back after its header. *)
-let compact_shard ~counts path ~interval ~max_replay_ops =
+   records lie back to back after its header.  [rebase] prunes one
+   document: its records below [p] go, and its record for [p] becomes the
+   forged base, framed with the sequence number of the record it replaces. *)
+let compact_shard ?rebase ~counts path ~interval ~max_replay_ops =
   Result.bind (scan_index path) @@ fun (scan, index) ->
   let keep = Hashtbl.create 256 in
   Hashtbl.iter
     (fun doc slots ->
-      for v = 0 to min (committed counts doc) (Ba.dim slots) - 1 do
+      let lo = match rebase with Some (d, p, _) when d = doc -> p | _ -> 0 in
+      for v = lo to min (committed counts doc) (Ba.dim slots) - 1 do
         if slots.{v} >= 0 then Hashtbl.replace keep (slots.{v} lsr len_bits) ()
       done)
     index.slots;
+  let forge =
+    match rebase with
+    | None -> fun _ record -> record
+    | Some (doc, p, base) ->
+      let at =
+        match Hashtbl.find_opt index.slots doc with
+        | Some slots when p < Ba.dim slots && slots.{p} >= 0 -> slots.{p} lsr len_bits
+        | _ -> -1
+      in
+      fun off record ->
+        if off <> at then record
+        else
+          let _, seq, _, _ = unframe_record record in
+          frame_record ~doc ~seq base
+  in
   let kept = ref [] in
   iter_spans
     ~start:
       (Container.header_length ~interval:scan.Container.interval
          ~max_replay_ops:scan.Container.max_replay_ops)
     scan.Container.records
-    (fun ~off ~len:_ record -> if Hashtbl.mem keep off then kept := record :: !kept);
+    (fun ~off ~len:_ record ->
+      if Hashtbl.mem keep off then kept := forge off record :: !kept);
   let kept = List.rev !kept in
   Result.bind
     (cerr (Container.rewrite ~path ~interval ~max_replay_ops kept))
@@ -974,24 +1031,57 @@ let compact_shard ~counts path ~interval ~max_replay_ops =
        ~start:(Container.header_length ~interval ~max_replay_ops)
        kept)
 
-let gc ?jobs ?pool t =
-  let counts = freeze_counts t in
-  let before =
-    file_size (manifest_path t)
-    + Array.fold_left ( + ) 0
-        (Array.init t.shards (fun i -> file_size (shard_path t i)))
-  in
-  let run pool =
-    let results =
-      Pool.map pool t.shards (fun i ->
-          with_lock t.shard_locks.(i) @@ fun () ->
-          Result.map
-            (fun (valid_end, index) ->
-              t.shard_ends.(i) <- valid_end;
-              t.indexes.(i) <- index)
-            (compact_shard ~counts (shard_path t i) ~interval:t.interval
-               ~max_replay_ops:t.max_replay_ops))
+let compact ?rebase t ~counts s =
+  with_lock t.shard_locks.(s) @@ fun () ->
+  Result.map
+    (fun (valid_end, index) ->
+      t.shard_ends.(s) <- valid_end;
+      t.indexes.(s) <- index)
+    (compact_shard ?rebase ~counts (shard_path t s) ~interval:t.interval
+       ~max_replay_ops:t.max_replay_ops)
+
+let corpus_bytes t =
+  file_size (manifest_path t)
+  + Array.fold_left ( + ) 0 (Array.init t.shards (fun i -> file_size (shard_path t i)))
+
+(* Only the document's shard is rewritten, and the catalog, whose count is
+   the next version number, does not change.  The rewrite runs inside a
+   write-ahead commit that adds no version, so the manifest changes with
+   the shard and a reader watching it sees the rewrite. *)
+let prune t ~doc p =
+  let before = corpus_bytes t in
+  let exec = t.exec_ in
+  match
+    Result.bind (chain t doc) @@ fun (ds, entries) ->
+    Result.bind (Chain.rebase ~exec entries p) @@ fun rebased ->
+    Result.bind (begin_commit ~exec t [ (doc, ds.ds_shard) ]) @@ fun seq ->
+    Result.bind
+      (compact t ~rebase:(doc, p, rebased.(0)) ~counts:(freeze_counts t) ds.ds_shard)
+    @@ fun () ->
+    let info =
+      {
+        Manifest.doc;
+        shard = ds.ds_shard;
+        versions = ds.ds_versions;
+        head_hash = ds.ds_head_hash;
+      }
     in
+    Result.bind (end_commit ~exec t ~seq [ info ]) @@ fun () ->
+    with_lock t.state_lock (fun () ->
+        if Option.is_some ds.ds_chain then ds.ds_chain <- Some rebased;
+        (* a shard file was rewritten: open snapshots are invalid *)
+        t.epoch <- t.epoch + 1);
+    Ok (before, corpus_bytes t)
+  with
+  | r -> r
+  | exception Budget.Exceeded e -> Error (Budget.describe e)
+
+(* Compact every shard, then checkpoint the manifest. *)
+let compact_all ?jobs ?pool t =
+  let counts = freeze_counts t in
+  let before = corpus_bytes t in
+  let run pool =
+    let results = Pool.map pool t.shards (fun i -> compact t ~counts i) in
     let rec first_error i =
       if i >= Array.length results then Ok ()
       else
@@ -1027,23 +1117,21 @@ let gc ?jobs ?pool t =
           t.aborted <- [];
           (* Shard files were rewritten: open snapshots are invalid. *)
           t.epoch <- t.epoch + 1);
-      let after =
-        manifest_size
-        + Array.fold_left ( + ) 0
-            (Array.init t.shards (fun i -> file_size (shard_path t i)))
-      in
-      Ok (before, after)
+      Ok (before, corpus_bytes t)
   in
-  match pool with
-  | Some p -> run p
-  | None ->
-    let jobs = match jobs with Some j -> j | None -> Pool.recommended_jobs () in
-    Pool.with_pool ~jobs run
+  on_pool ?jobs ?pool run
+
+let gc ?jobs ?pool ?prune_before t =
+  match prune_before with
+  | Some (doc, p) -> prune t ~doc p
+  | None -> compact_all ?jobs ?pool t
 
 (* One task per shard: rebuild its index from a fresh scan and check it
    against the resident one (built by an earlier scan and extended by every
-   append since), then load and verify every document bucketed there. *)
-let verify_shard t ~counts s =
+   append since), then load and verify every committed document bucketed
+   there, from its base up.  A document missing from its shard fails its
+   load. *)
+let verify_shard t ~docs s =
   let path = shard_path t s in
   let checked =
     with_lock t.shard_locks.(s) @@ fun () ->
@@ -1051,57 +1139,103 @@ let verify_shard t ~counts s =
     if t.shard_ends.(s) < 0 then begin
       t.shard_ends.(s) <- scan.Container.valid_end;
       t.indexes.(s) <- fresh;
-      Ok fresh
+      Ok ()
     end
     else if
       t.shard_ends.(s) <> scan.Container.valid_end
       || index_entries t.indexes.(s) <> index_entries fresh
     then Error (path ^ ": the resident record index differs from a fresh scan")
-    else Ok fresh
+    else Ok ()
   in
-  Result.bind checked @@ fun index ->
-  Hashtbl.fold
-    (fun doc _ acc ->
+  Result.bind checked @@ fun () ->
+  List.fold_left
+    (fun acc (doc, upto) ->
       Result.bind acc @@ fun n ->
-      let upto = committed counts doc in
-      if upto = 0 then Ok n
-      else
-        Result.bind (load_chain t ~shard:s ~doc ~upto) @@ fun entries ->
-        let rec each v acc =
-          if v >= upto then Ok acc
-          else
-            match Chain.materialize ~verify:true ~exec:(Exec.create ()) entries v with
-            | Error msg -> Error (Printf.sprintf "%S version %d: %s" doc v msg)
-            | Ok _ -> each (v + 1) (acc + 1)
-        in
-        each 0 n)
-    index.slots (Ok 0)
+      Result.bind (load_chain t ~shard:s ~doc ~upto) @@ fun entries ->
+      let rec each v acc =
+        if v >= upto then Ok acc
+        else
+          match Chain.materialize ~verify:true ~exec:(Exec.create ()) entries v with
+          | Error msg -> Error (Printf.sprintf "%S version %d: %s" doc v msg)
+          | Ok _ -> each (v + 1) (acc + 1)
+      in
+      each (Chain.base_version entries) n)
+    (Ok 0) docs
 
 let verify ?jobs ?pool t =
-  let counts = freeze_counts t in
-  (* Every committed document must appear in exactly its own shard; a
-     document whose shard lost data surfaces as a missing-version error. *)
-  let expected = Hashtbl.fold (fun _ n acc -> acc + n) counts 0 in
+  let by_shard = Array.make t.shards [] in
+  Hashtbl.iter
+    (fun doc upto ->
+      if upto > 0 then begin
+        let s = shard_of t doc in
+        by_shard.(s) <- (doc, upto) :: by_shard.(s)
+      end)
+    (freeze_counts t);
   let run pool =
     let results =
-      Pool.map pool t.shards (fun i -> verify_shard t ~counts i)
+      Pool.map pool t.shards (fun i ->
+          verify_shard t ~docs:(List.sort compare by_shard.(i)) i)
     in
     Array.fold_left
       (fun acc r ->
         Result.bind acc @@ fun n -> Result.map (fun m -> n + m) r)
       (Ok 0) results
   in
-  let result =
-    match pool with
-    | Some p -> run p
-    | None ->
-      let jobs = match jobs with Some j -> j | None -> Pool.recommended_jobs () in
-      Pool.with_pool ~jobs run
+  on_pool ?jobs ?pool run
+
+(* -------------------------------------------------------------- migration *)
+
+(* The one reader of the older single-file archive: a container of bare
+   chain records.  Their payloads move unchanged, framed with the document
+   name and the sequence number of the one commit that writes them all. *)
+let migrate ?exec ~doc ~legacy dir =
+  let rec parse i acc = function
+    | [] -> Ok (List.rev acc)
+    | (record : Container.record) :: rest -> (
+      if not (Chain.known_tag record.Container.tag) then
+        Error (Printf.sprintf "record %d: unknown tag %C" i record.Container.tag)
+      else
+        match Chain.parse_record record with
+        | Error msg -> Error (Printf.sprintf "record %d: %s" i msg)
+        | Ok p -> parse (i + 1) (p :: acc) rest)
   in
-  Result.bind result @@ fun n ->
-  if n <> expected then
-    Error
-      (Printf.sprintf
-         "catalog claims %d versions but only %d were found and verified"
-         expected n)
-  else Ok n
+  let read =
+    Result.bind (cerr (Container.scan legacy)) @@ fun scan ->
+    Result.bind (parse 0 [] scan.Container.records) @@ fun parsed ->
+    Result.map (fun entries -> (scan, entries)) (Chain.validate parsed)
+  in
+  match read with
+  | Error msg -> Error (Printf.sprintf "%s: %s" legacy msg)
+  | Ok (scan, entries) ->
+    Result.bind
+      (init ~interval:scan.Container.interval
+         ~max_replay_ops:scan.Container.max_replay_ops ?exec ~shards:1 dir)
+    @@ fun t ->
+    let exec = t.exec_ in
+    let n = Array.length entries in
+    let written =
+      if n = 0 then Ok ()
+      else
+        let last = entries.(n - 1).Chain.meta in
+        let infos =
+          [
+            {
+              Manifest.doc;
+              shard = shard_of t doc;
+              versions = last.version + 1;
+              head_hash = last.hash;
+            };
+          ]
+        in
+        match
+          Exec.fault exec "store.commit";
+          Result.bind (begin_commit ~exec t [ (doc, shard_of t doc) ]) @@ fun seq ->
+          Result.bind (append_to_shard ~exec t ~seq ~doc (Array.to_list entries))
+          @@ fun () ->
+          Result.map (fun () -> publish_infos t infos) (end_commit ~exec t ~seq infos)
+        with
+        | r -> r
+        | exception Budget.Exceeded e -> Error (Budget.describe e)
+    in
+    Result.bind written @@ fun () ->
+    Result.map (fun verified -> (t, verified)) (verify ~jobs:1 t)

@@ -1,5 +1,7 @@
-(** The sharded corpus store: many documents' delta chains multiplexed into
-    hash-bucketed {!Container} files behind a write-ahead {!Manifest}.
+(** The archive: many documents' delta chains multiplexed into
+    hash-bucketed {!Container} files behind a write-ahead {!Manifest}.  A
+    one-document archive is simply a 1-shard corpus; the single-file
+    archive of older releases is read only by {!migrate}.
 
     {b Layout.}  A corpus is a directory:
 
@@ -15,7 +17,9 @@
     shard count is fixed at {!init} and recorded in the manifest header.
     Shard records reuse the {!Chain} tags and payloads, prefixed with the
     document name and the manifest sequence number of the commit that
-    wrote them.
+    wrote them.  A document's records start at version 0, or — after a
+    pruning {!gc} — at a forged {!Chain.Snapshot} base; its catalog count
+    stays its next version number either way.
 
     {b Commit protocol (write-ahead).}  A commit appends [Begin seq] to the
     manifest, then the version records to the owning shards, then
@@ -74,9 +78,10 @@ val init :
   (t, string) result
 (** [init ~shards dir] creates [dir] (which must not already contain a
     corpus) with [shards] empty shard files and a fresh manifest.  The
-    checkpoint policy ([interval], [max_replay_ops] — defaults as
-    {!Store.init}) applies to every document chain and is recorded in the
-    manifest header. *)
+    checkpoint policy applies to every document chain and is recorded in
+    the manifest header: a checkpoint every [interval] commits (default 8,
+    [0] disables) or as soon as the replay cost since the last one would
+    exceed [max_replay_ops] operations (default 512, [0] disables). *)
 
 val open_ : ?exec:Treediff_util.Exec.t -> string -> (t, string) result
 (** Open an existing corpus: replay the manifest (isolating a torn manifest
@@ -84,7 +89,9 @@ val open_ : ?exec:Treediff_util.Exec.t -> string -> (t, string) result
     {!aborted_commits}.  Shard files are {e not} scanned here — each is
     scanned once on first use to build its record index, where a torn
     shard tail is isolated by the container scan and reclaimed by the next
-    append.  O(manifest), not O(corpus). *)
+    append.  O(manifest), not O(corpus).  A single-file archive from an
+    older release is refused with an error naming [treediff store
+    migrate]. *)
 
 val is_corpus : string -> bool
 (** [dir] exists and holds a [MANIFEST]. *)
@@ -127,7 +134,12 @@ val versions : t -> string -> int
 val head_hash : t -> string -> int64 option
 
 val log : t -> string -> (entry list, string) result
-(** Oldest first; loads the document's chain. *)
+(** Oldest first, from the document's base; loads its chain. *)
+
+val script_of :
+  t -> doc:string -> int -> (Treediff_edit.Script.t, string) result
+(** The stored forward delta carrying version [v-1] of [doc] to [v] (an
+    error for a snapshot, which has no incoming delta). *)
 
 val materialize :
   ?verify:bool ->
@@ -136,7 +148,12 @@ val materialize :
   doc:string ->
   int ->
   (Treediff_tree.Node.t, string) result
-(** As {!Store.materialize}, through the per-document chain cache.
+(** Reconstruct version [v] of [doc] through the per-document chain cache:
+    decode the nearest snapshot-bearing record and replay toward [v],
+    whichever direction is cheaper.  [verify] (default [false]) checks the
+    result against the stored hash.  The exec's budget (default: the
+    handle's) is charged one visit per replayed operation; the returned
+    tree is fresh.  A version below a pruned base is an error.
     @raise Treediff_util.Budget.Exceeded when the budget trips. *)
 
 val diff_between :
@@ -146,9 +163,10 @@ val diff_between :
   from_:int ->
   to_:int ->
   (Treediff_edit.Script.t, string) result
-(** {!Store.diff_between} for one document of the corpus, same output
-    contract.  [exec] (default: the handle's context) carries the caller's
-    budget through composition and any materialization it needs. *)
+(** One composed script carrying version [from_] of [doc] to [to_], with
+    the output contract of {!Chain.diff_between}.  [exec] (default: the
+    handle's context) carries the caller's budget through composition and
+    any materialization it needs. *)
 
 val commit :
   ?config:Treediff.Config.t ->
@@ -242,10 +260,19 @@ val ingest :
 (** {1 Maintenance} *)
 
 val gc :
-  ?jobs:int -> ?pool:Treediff_util.Pool.t -> t -> (int * int, string) result
+  ?jobs:int ->
+  ?pool:Treediff_util.Pool.t ->
+  ?prune_before:string * int ->
+  t ->
+  (int * int, string) result
 (** Compact every shard in parallel (atomic rewrite per shard), dropping
     orphan records of aborted commits and superseded duplicates, then
-    checkpoint the manifest down to one catalog record.  Returns total
+    checkpoint the manifest down to one catalog record.  With
+    [prune_before:(doc, p)], instead rewrite only [doc]'s shard (compacted
+    the same way) with [doc]'s history below [p] replaced by one forged
+    snapshot of [p] ({!Chain.rebase}); version numbers and the catalog are
+    unchanged, and the rewrite runs inside a write-ahead commit that adds
+    no version, so the manifest records it.  Returns total
     [(bytes_before, bytes_after)] across the manifest and all shards.  Do
     not run concurrently with commits or ingest; invalidates snapshots. *)
 
@@ -264,9 +291,26 @@ val stats : t -> stats
 
 val verify :
   ?jobs:int -> ?pool:Treediff_util.Pool.t -> t -> (int, string) result
-(** Materialize {e every} committed version of every document with hash
-    verification, in parallel over shards.  Each shard's record index is
-    first rebuilt from a fresh scan and must equal the resident one.
-    Returns the number of versions verified, or the first failure.  The crash-recovery
-    acceptance check: after a kill and reopen, everything the catalog
-    claims must verify against its stored {!Treediff_tree.Iso.hash}. *)
+(** Materialize {e every} committed version of every document, from its
+    base up, with hash verification, in parallel over shards.  Each shard's
+    record index is first rebuilt from a fresh scan and must equal the
+    resident one, and a committed document missing from its shard is an
+    error.  Returns the number of versions verified, or the first failure.
+    The crash-recovery acceptance check: after a kill and reopen,
+    everything the catalog claims must verify against its stored
+    {!Treediff_tree.Iso.hash}. *)
+
+val migrate :
+  ?exec:Treediff_util.Exec.t ->
+  doc:string ->
+  legacy:string ->
+  string ->
+  (t * int, string) result
+(** [migrate ~doc ~legacy dir] converts [legacy], a single-file archive
+    from an older release, into a fresh 1-shard corpus at [dir] holding
+    one document [doc]: each legacy record's chain payload is appended
+    unchanged in one write-ahead commit, under the legacy header's
+    checkpoint policy, so version numbers, a pruned base, checkpoints and
+    scripts all survive.  Then {!verify} runs; returns the handle and the
+    number of versions verified.  A crash leaves the whole document or
+    none of it. *)

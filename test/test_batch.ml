@@ -21,7 +21,7 @@ module Diff = Treediff.Diff
 module Batch = Treediff.Batch
 module Script_io = Treediff_edit.Script_io
 module Delta_io = Treediff.Delta_io
-module Store = Treediff_store.Store
+module Shard = Treediff_store.Shard
 module Docgen = Treediff_workload.Docgen
 module Mutate = Treediff_workload.Mutate
 module Treegen = Treediff_workload.Treegen
@@ -248,49 +248,55 @@ let test_batch_crash_isolation () =
 
 (* ------------------------------------------------------ store batch replay *)
 
-let lineage ?(seed = 41) ?(actions = 5) n =
+let lineage ~seed n =
   let g = Prng.create seed in
   let gen = Tree.gen () in
   let first = Docgen.generate g gen Docgen.small in
   let rec grow acc doc k =
     if k = 0 then List.rev acc
     else
-      let doc', _ = Mutate.mutate g gen doc ~actions in
+      let doc', _ = Mutate.mutate g gen doc ~actions:5 in
       grow (doc' :: acc) doc' (k - 1)
   in
   grow [ first ] first (n - 1)
-
-let tmp_path =
-  let n = ref 0 in
-  fun suffix ->
-    incr n;
-    let path =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "treediff_batch_test_%d_%d_%s" (Unix.getpid ()) !n
-           suffix)
-    in
-    if Sys.file_exists path then Sys.remove path;
-    path
 
 let ok_exn what = function
   | Ok v -> v
   | Error msg -> Alcotest.fail (what ^ ": " ^ msg)
 
-let test_store_materialize_all () =
-  let path = tmp_path "matall" in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+(* Many versions of several documents replayed from pool domains, each task
+   in its own context, through one archive handle: the trees equal a
+   sequential replay's. *)
+let test_store_parallel_replay () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "treediff_batch_test_%d_replay" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
   @@ fun () ->
-  let docs = lineage 10 in
-  let store = ok_exn "init" (Store.init ~interval:4 path) in
-  List.iter (fun doc -> ignore (ok_exn "commit" (Store.commit store doc))) docs;
-  let versions = Array.init (Store.versions store) (fun i -> i) in
-  let all = Store.materialize_all ~verify:true ~jobs:4 store versions in
+  let store = ok_exn "init" (Shard.init ~interval:4 ~shards:2 dir) in
+  let docs = List.init 4 (fun i -> (Printf.sprintf "d%d" i, lineage ~seed:(41 + i) 10)) in
+  List.iter
+    (fun (doc, line) ->
+      List.iter (fun tree -> ignore (ok_exn "commit" (Shard.commit store ~doc tree))) line)
+    docs;
+  let tasks =
+    Array.of_list (List.concat_map (fun (doc, _) -> List.init 10 (fun v -> (doc, v))) docs)
+  in
+  let store = ok_exn "reopen" (Shard.open_ dir) in
+  let all =
+    Pool.with_pool ~jobs:4 (fun pool ->
+        Pool.map pool (Array.length tasks) (fun i ->
+            let doc, v = tasks.(i) in
+            Shard.materialize ~verify:true ~exec:(Exec.create ()) store ~doc v))
+  in
   Array.iteri
-    (fun v r ->
-      let t = ok_exn (Printf.sprintf "materialize_all v%d" v) r in
-      let s = ok_exn "materialize" (Store.materialize store v) in
+    (fun i r ->
+      let doc, v = tasks.(i) in
+      let t = ok_exn (Printf.sprintf "parallel %s v%d" doc v) r in
+      let s = ok_exn "materialize" (Shard.materialize store ~doc v) in
       if not (Iso.equal t s) then
-        Alcotest.failf "version %d: parallel and sequential replay disagree" v)
+        Alcotest.failf "%s v%d: parallel and sequential replay disagree" doc v)
     all
 
 (* ------------------------------------------------------------------ suite *)
@@ -318,7 +324,7 @@ let () =
             test_batch_parity_with_prefilter;
           Alcotest.test_case "crash in one pair is isolated" `Quick
             test_batch_crash_isolation;
-          Alcotest.test_case "store materialize_all parity" `Quick
-            test_store_materialize_all;
+          Alcotest.test_case "store parallel replay parity" `Quick
+            test_store_parallel_replay;
         ] );
     ]

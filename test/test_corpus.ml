@@ -19,7 +19,6 @@ module Tree = Treediff_tree.Tree
 module Iso = Treediff_tree.Iso
 module Diff = Treediff.Diff
 module Binio = Treediff_util.Binio
-module Store = Treediff_store.Store
 module Shard = Treediff_store.Shard
 module Chain = Treediff_store.Chain
 module Container = Treediff_store.Container
@@ -134,12 +133,12 @@ let test_corpus_roundtrip () =
     (Shard.aborted_commits reopened);
   check_all reopened;
   Alcotest.(check int) "verify count" 30 (ok_exn "verify" (Shard.verify ~jobs:2 reopened));
-  (* per-doc log and diff_between still behave like the single-file store *)
+  (* per-doc log and diff_between *)
   let doc, _ = List.hd lineages in
   let log = ok_exn "log" (Shard.log reopened doc) in
   Alcotest.(check int) "log length" 5 (List.length log);
   (match List.hd log with
-  | { Shard.kind = Store.Snapshot; version = 0; _ } -> ()
+  | { Shard.kind = Chain.Snapshot; version = 0; _ } -> ()
   | _ -> Alcotest.fail "version 0 is not a snapshot");
   (* documents land in their hash bucket, not all in one shard *)
   let buckets =
@@ -647,6 +646,125 @@ let test_index_concurrent () =
     (ok_exn "verify" (Shard.verify ~jobs:1 t));
   rm_rf dir
 
+(* ---------------------------------------------------------------- prune *)
+
+let hashes_of (src : Shard.source) =
+  Array.init src.Shard.count (fun v -> Iso.hash (ok_exn "load" (src.Shard.load v)))
+
+(* A pruning gc rewrites one document's shard only; the pruned chain then
+   reopens, refuses the versions below its base, verifies from the base
+   up, survives a full gc, and resumes under ingest. *)
+let test_prune_corpus () =
+  let dir = tmp_dir "prune" in
+  let t = ok_exn "init" (Shard.init ~interval:3 ~shards:3 dir) in
+  let srcs = sources ~docs:6 ~versions:8 in
+  let partial = List.map (fun (src : Shard.source) -> { src with Shard.count = 5 }) srcs in
+  ignore (ok_exn "ingest" (Shard.ingest ~jobs:1 t partial));
+  let victim = "doc-002" in
+  let expected = hashes_of (List.find (fun (s : Shard.source) -> s.Shard.name = victim) srcs) in
+  let own = Printf.sprintf "shard-%04d.tdst" (Shard.shard_of t victim) in
+  let untouched () =
+    List.filter (fun (f, _) -> f <> own && f <> "MANIFEST") (corpus_digest dir)
+  in
+  let before = untouched () in
+  let bytes_before, bytes_after =
+    ok_exn "prune" (Shard.gc ~prune_before:(victim, 3) t)
+  in
+  Alcotest.(check bool) "the prune shrank the archive" true (bytes_after < bytes_before);
+  Alcotest.(check (list (pair string string))) "other shards untouched" before (untouched ());
+  Alcotest.(check int) "the count is still the next version" 5 (Shard.versions t victim);
+  let check what t =
+    let log = ok_exn "log" (Shard.log t victim) in
+    Alcotest.(check (list int)) (what ^ ": versions from the base") [ 3; 4 ]
+      (List.map (fun (e : Shard.entry) -> e.Shard.version) log);
+    Alcotest.(check bool) (what ^ ": the base is a snapshot") true
+      ((List.hd log).Shard.kind = Chain.Snapshot);
+    (match Shard.materialize t ~doc:victim 2 with
+    | Error msg -> Alcotest.(check bool) (what ^ ": names the base") true (contains ~sub:"3..4" msg)
+    | Ok _ -> Alcotest.fail "a pruned version materialized");
+    (match Shard.snapshot_materialize (Shard.snapshot t) ~doc:victim 2 with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "a snapshot read a pruned version");
+    List.iter
+      (fun v ->
+        Alcotest.(check int64) (Printf.sprintf "%s: v%d" what v) expected.(v)
+          (Iso.hash (ok_exn "snapshot read" (Shard.snapshot_materialize ~verify:true (Shard.snapshot t) ~doc:victim v))))
+      [ 3; 4 ];
+    Alcotest.(check int) (what ^ ": verify counts from the base") 27
+      (ok_exn "verify" (Shard.verify ~jobs:2 t))
+  in
+  check "live" t;
+  let t = ok_exn "reopen" (Shard.open_ dir) in
+  check "reopened" t;
+  ignore (ok_exn "full gc" (Shard.gc ~jobs:2 t));
+  check "after a full gc" t;
+  (* ingest resumes the pruned document from its committed head *)
+  let report = ok_exn "resume" (Shard.ingest ~jobs:1 t srcs) in
+  Alcotest.(check int) "every document resumed" 6 report.Shard.docs_ingested;
+  Alcotest.(check int) "three versions each" 18 report.Shard.versions_appended;
+  Alcotest.(check int) "the pruned document grew" 8 (Shard.versions t victim);
+  Alcotest.(check int64) "its new head" expected.(7)
+    (Iso.hash (ok_exn "head" (Shard.materialize ~verify:true t ~doc:victim 7)));
+  let t = ok_exn "reopen after resume" (Shard.open_ dir) in
+  Alcotest.(check int) "verified after resume" 45 (ok_exn "verify" (Shard.verify ~jobs:2 t));
+  Alcotest.(check int) "still based at 3" 3
+    (List.hd (ok_exn "log" (Shard.log t victim))).Shard.version;
+  rm_rf dir
+
+(* A 1-shard corpus of "d" (5 versions) and "e" (2), with the records
+   [drop doc version] selects removed from its file, as damage would. *)
+let corpus_missing ~name ~drop =
+  let dir = tmp_dir ("missing_" ^ name) in
+  let t = ok_exn "init" (Shard.init ~interval:0 ~shards:1 dir) in
+  List.iter (fun tree -> ignore (ok_exn "commit d" (Shard.commit t ~doc:"d" tree))) (lineage ~seed:81 5);
+  List.iter (fun tree -> ignore (ok_exn "commit e" (Shard.commit t ~doc:"e" tree))) (lineage ~seed:82 2);
+  let path = Filename.concat dir "shard-0000.tdst" in
+  let scan =
+    match Container.scan path with
+    | Ok scan -> scan
+    | Error e -> Alcotest.fail (Container.error_to_string e)
+  in
+  let kept =
+    List.filter
+      (fun (record : Container.record) ->
+        let r = Binio.reader record.Container.payload in
+        let d = Binio.read_string r in
+        ignore (Binio.read_varint r);
+        not (drop d (Binio.read_varint r)))
+      scan.Container.records
+  in
+  (match
+     Container.rewrite ~path ~interval:scan.Container.interval
+       ~max_replay_ops:scan.Container.max_replay_ops kept
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Container.error_to_string e));
+  dir
+
+(* Only a snapshot may start a chain above version 0: a record missing in
+   the middle, a missing version 0 before a delta, or a committed document
+   missing from its shard altogether stays an error, in loads and in
+   verify. *)
+let test_missing_record () =
+  List.iter
+    (fun (name, drop, broken, latest, missing, intact) ->
+      let t = ok_exn "reopen" (Shard.open_ (corpus_missing ~name ~drop)) in
+      let expected = Printf.sprintf "committed version %d of %S is missing" missing broken in
+      (match Shard.materialize t ~doc:broken latest with
+      | Error msg -> Alcotest.(check bool) (name ^ ": " ^ msg) true (contains ~sub:expected msg)
+      | Ok _ -> Alcotest.fail (name ^ ": a gapped chain loaded"));
+      (match Shard.verify ~jobs:1 t with
+      | Error msg -> Alcotest.(check bool) (name ^ " verify: " ^ msg) true (contains ~sub:expected msg)
+      | Ok _ -> Alcotest.fail (name ^ ": verify missed the gap"));
+      Alcotest.(check bool) (name ^ ": the other document reads") true
+        (Result.is_ok (Shard.materialize ~verify:true t ~doc:intact 1));
+      rm_rf (Shard.dir t))
+    [
+      ("d-v2", (fun d v -> d = "d" && v = 2), "d", 4, 2, "e");
+      ("d-v0", (fun d v -> d = "d" && v = 0), "d", 4, 0, "e");
+      ("all-of-e", (fun d _ -> d = "e"), "e", 1, 0, "d");
+    ]
+
 (* ------------------------------------------------------------------ cli *)
 
 let bin name =
@@ -864,6 +982,12 @@ let () =
             quick "a record wider than the packed length" test_index_long_record;
             quick "a flipped byte is a typed checksum error" test_index_hostile_bytes;
             quick "commits beside cold reads in one shard" test_index_concurrent;
+          ] );
+        ( "prune",
+          [
+            quick "one shard rewritten; reopen, refuse, verify, resume"
+              test_prune_corpus;
+            quick "a missing record is still an error" test_missing_record;
           ] );
         ( "cli",
           [

@@ -19,7 +19,7 @@
 module Format = Treediff_doc.Format
 module Tree = Treediff_tree.Tree
 module Node = Treediff_tree.Node
-module Store = Treediff_store.Store
+module Shard = Treediff_store.Shard
 module Json = Treediff_serve.Json
 module Protocol = Treediff_serve.Protocol
 module Handler = Treediff_serve.Handler
@@ -42,6 +42,8 @@ let tmp_file contents =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents);
   path
+
+let rm_rf path = ignore (Sys.command ("rm -rf " ^ Filename.quote path))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -410,16 +412,17 @@ let test_store_roundtrip () =
       let t2 = Format.parse f gen src_new in
       let path = Filename.temp_file "treediff_fmt" ".tda" in
       Sys.remove path;
-      let store = ok_or_fail (f.Format.name ^ " init") (Store.init path) in
-      ignore (ok_or_fail (f.Format.name ^ " commit v0") (Store.commit store t1));
-      ignore (ok_or_fail (f.Format.name ^ " commit v1") (Store.commit store t2));
+      let doc = f.Format.name in
+      let store = ok_or_fail (f.Format.name ^ " init") (Shard.init ~shards:1 path) in
+      ignore (ok_or_fail (f.Format.name ^ " commit v0") (Shard.commit store ~doc t1));
+      ignore (ok_or_fail (f.Format.name ^ " commit v1") (Shard.commit store ~doc t2));
       let m0 =
         ok_or_fail (f.Format.name ^ " materialize v0")
-          (Store.materialize ~verify:true store 0)
+          (Shard.materialize ~verify:true store ~doc 0)
       in
       let m1 =
         ok_or_fail (f.Format.name ^ " materialize v1")
-          (Store.materialize ~verify:true store 1)
+          (Shard.materialize ~verify:true store ~doc 1)
       in
       if f.Format.caps.Format.id_preserving then begin
         (* the store relabels into its own id space, so the bytes of an
@@ -435,7 +438,7 @@ let test_store_roundtrip () =
         Alcotest.(check string) (f.Format.name ^ " v1 bytes") (f.Format.render t2)
           (f.Format.render m1)
       end;
-      Sys.remove path)
+      rm_rf path)
     Format.all
 
 (* The same round-trip end to end through the CLI store verbs, on the new
@@ -451,7 +454,7 @@ let test_store_cli_fixtures () =
       List.iter
         (fun fix ->
           let code, _ =
-            run (Printf.sprintf "%s store commit %s %s -f %s" t arch
+            run (Printf.sprintf "%s store commit %s %s -f %s --doc d" t arch
                    (fixture fix) f.Format.name)
           in
           Alcotest.(check int) (f.Format.name ^ " store commit " ^ fix) 0 code)
@@ -460,7 +463,7 @@ let test_store_cli_fixtures () =
         (fun v fix ->
           let out = Filename.temp_file "treediff_fmt" ".out" in
           let code, _ =
-            run (Printf.sprintf "%s store materialize %s %d --verify -f %s -o %s"
+            run (Printf.sprintf "%s store materialize %s %d --doc d --verify -f %s -o %s"
                    t arch v f.Format.name out)
           in
           Alcotest.(check int)
@@ -474,7 +477,7 @@ let test_store_cli_fixtures () =
             (Printf.sprintf "%s v%d bytes" f.Format.name v) want (read_file out);
           Sys.remove out)
         [ old_fix; new_fix ];
-      Sys.remove arch)
+      rm_rf arch)
     [
       (Format.json, "service.old.json", "service.new.json");
       (Format.markdown, "notes.old.md", "notes.new.md");

@@ -302,7 +302,12 @@ let test_handler_cache_fault_absorbed () =
 
 (* -------------------------------------------------- store handle cache *)
 
-module Store = Treediff_store.Store
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+
 module Shard = Treediff_store.Shard
 
 let store_ok what = function
@@ -320,10 +325,10 @@ let rm_rf dir = ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote 
 
 let test_store_handle_cache () =
   let archive = tmp_path "archive" in
-  let s = store_ok "init" (Store.init archive) in
-  ignore (store_ok "commit v0" (Store.commit s (parse_sexp old_sexp)));
+  let s = store_ok "init" (Shard.init ~shards:1 archive) in
+  ignore (store_ok "commit v0" (Shard.commit s ~doc:"d" (parse_sexp old_sexp)));
   let h = Handler.create () in
-  let params = Json.Obj [ ("archive", Json.Str archive) ] in
+  let params = Json.Obj [ ("archive", Json.Str archive); ("doc", Json.Str "d") ] in
   let body = ok_body (handle h (req "store/log" params)) in
   Alcotest.(check (option (float 0.))) "one version" (Some 1.)
     (Json.mem_num "versions" body);
@@ -333,7 +338,8 @@ let test_store_handle_cache () =
     (Handler.store_handle_hits h);
   (* a commit through the daemon leaves the handle warm AND current *)
   let commit_params =
-    Json.Obj [ ("archive", Json.Str archive); ("tree", Json.Str new_sexp) ]
+    Json.Obj
+      [ ("archive", Json.Str archive); ("doc", Json.Str "d"); ("tree", Json.Str new_sexp) ]
   in
   let entry = ok_body (handle h (req "store/commit" commit_params)) in
   Alcotest.(check (option (float 0.))) "committed v1" (Some 1.)
@@ -345,13 +351,28 @@ let test_store_handle_cache () =
   Alcotest.(check int) "exactly one open so far" 1
     (Handler.store_handle_misses h);
   (* an external writer changes the fingerprint: reopen, never serve stale *)
-  let s = store_ok "reopen" (Store.open_ archive) in
-  ignore (store_ok "external commit" (Store.commit s (parse_sexp old_sexp)));
+  let s = store_ok "reopen" (Shard.open_ archive) in
+  ignore (store_ok "external commit" (Shard.commit s ~doc:"d" (parse_sexp old_sexp)));
   let body = ok_body (handle h (req "store/log" params)) in
   Alcotest.(check (option (float 0.))) "external commit picked up" (Some 3.)
     (Json.mem_num "versions" body);
   Alcotest.(check int) "stale handle reopened" 2 (Handler.store_handle_misses h);
-  Sys.remove archive
+  (* a pruning gc rewrites a shard under the warm handle: reopen, never
+     read the old file through the stale index *)
+  ignore (store_ok "prune" (Shard.gc ~prune_before:("d", 1) s));
+  let body = ok_body (handle h (req "store/log" params)) in
+  Alcotest.(check (option (float 0.))) "pruned chain picked up" (Some 2.)
+    (Json.mem_num "versions" body);
+  Alcotest.(check int) "pruned archive reopened" 3 (Handler.store_handle_misses h);
+  let body =
+    ok_body
+      (handle h
+         (req "store/materialize"
+            (Json.Obj
+               [ ("archive", Json.Str archive); ("doc", Json.Str "d"); ("version", Json.int 2) ])))
+  in
+  Alcotest.(check bool) "head still materializes" true (Json.mem_str "tree" body <> None);
+  rm_rf archive
 
 let test_store_corpus_verbs () =
   let dir = tmp_path "corpus" in
@@ -395,6 +416,14 @@ let test_store_corpus_verbs () =
     (Json.mem_num "versions" body);
   Alcotest.(check int) "corpus handle stayed warm" 3
     (Handler.store_handle_hits h);
+  (* a single-file archive from an older release is refused, naming the
+     conversion *)
+  let legacy = Filename.concat (Filename.dirname Sys.executable_name) "fixtures/legacy_pruned.tdst" in
+  (match handle h (req "store/log" (Json.Obj [ ("archive", Json.Str legacy) ])) with
+  | Ok (_, Protocol.Err_resp { kind = Protocol.Bad_request; message; _ }) ->
+    Alcotest.(check bool) ("names migrate: " ^ message) true
+      (contains message "treediff store migrate")
+  | _ -> Alcotest.fail "a legacy file was served");
   rm_rf dir
 
 let test_budget_remaining_ms () =
@@ -500,11 +529,6 @@ let test_retry_honours_server_hint () =
     (fun d ->
       Alcotest.(check bool) "server hint dominates tiny backoff" true (d >= 123.))
     !delays
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 (* A listener that accepts and immediately hangs up: every call against it
    is a transport error *after* the request frame went out.  A connection
