@@ -964,7 +964,7 @@ let run_check_bench ?json ~out () =
 module Server = Treediff_serve.Server
 module Client = Treediff_serve.Client
 module Protocol = Treediff_serve.Protocol
-module Sjson = Treediff_serve.Json
+module Json = Treediff_util.Json
 
 (* Open-loop load generation against an in-process daemon.  Closed-loop
    calibration first measures the full-quality service time; the open-loop
@@ -1010,7 +1010,7 @@ let serve_shutdown ~port =
   | Ok c ->
     ignore
       (Client.call c
-         { Protocol.id = 999_999; verb = "shutdown"; params = Sjson.Obj [] });
+         { Protocol.id = 999_999; verb = "shutdown"; params = Json.Obj [] });
     Client.close c
 
 let serve_diff_request ~id ~deadline_ms (old_s, new_s) =
@@ -1018,11 +1018,11 @@ let serve_diff_request ~id ~deadline_ms (old_s, new_s) =
     Protocol.id;
     verb = "diff";
     params =
-      Sjson.Obj
+      Json.Obj
         [
-          ("old", Sjson.Str old_s);
-          ("new", Sjson.Str new_s);
-          ("deadline_ms", Sjson.float deadline_ms);
+          ("old", Json.Str old_s);
+          ("new", Json.Str new_s);
+          ("deadline_ms", Json.float deadline_ms);
         ];
   }
 
@@ -1071,10 +1071,10 @@ let serve_phase ~port ~pairs ~hot ~rate ~n ~deadline_ms label =
                  outcome.(i) <-
                    (match resp with
                    | Protocol.Ok_resp body ->
-                     if Sjson.mem_bool "cached" body = Some true then 2
+                     if Json.mem_bool "cached" body = Some true then 2
                      else if
-                       match Sjson.member "degraded" body with
-                       | Some (Sjson.Str _) -> true
+                       match Json.member "degraded" body with
+                       | Some (Json.Str _) -> true
                        | Some _ | None -> false
                      then 1
                      else 0
@@ -1104,7 +1104,7 @@ let serve_phase ~port ~pairs ~hot ~rate ~n ~deadline_ms label =
        send_t.(i) <- Unix.gettimeofday ();
        output_string oc
          (Protocol.encode_frame
-            (Sjson.to_string
+            (Json.to_string
                (Protocol.request_to_json
                   (serve_diff_request ~id:(i + 1) ~deadline_ms pair))));
        flush oc
@@ -1203,7 +1203,7 @@ let run_serve_bench ?json ~out () =
     | Ok c ->
       let answer =
         match
-          Client.call c { Protocol.id = 1; verb = "crash"; params = Sjson.Obj [] }
+          Client.call c { Protocol.id = 1; verb = "crash"; params = Json.Obj [] }
         with
         | Ok (Protocol.Err_resp { kind = Protocol.Internal; _ }) -> "internal"
         | Ok (Protocol.Err_resp { kind; _ }) -> Protocol.error_kind_name kind
@@ -1251,7 +1251,7 @@ let run_serve_bench ?json ~out () =
     | Error _ -> false
     | Ok c ->
       let r =
-        Client.call c { Protocol.id = 7; verb = "ping"; params = Sjson.Obj [] }
+        Client.call c { Protocol.id = 7; verb = "ping"; params = Json.Obj [] }
       in
       Client.close c;
       (match r with Ok (Protocol.Ok_resp _) -> true | _ -> false)

@@ -17,7 +17,8 @@ let read_file path =
 
 (* Exit codes, also documented in each subcommand's man page:
    2 = parse error, 3 = budget exceeded (degraded output was produced),
-   4 = internal diagnostic failure. *)
+   4 = internal diagnostic failure, 1 = store-level failure.  Every failure
+   of a shared verb is classified once, by {!Verb.exit_code}. *)
 let exit_parse_error = 2
 let exit_degraded = 3
 let exit_internal = 4
@@ -27,29 +28,35 @@ let exit_internal = 4
    with ladiff and the serve daemon. *)
 module Doc_format = Treediff_doc.Format
 
-let parse_tree ?(lenient = false) (fmt : Doc_format.t) gen src =
-  Doc_format.parse fmt ~lenient
-    ~warn:(fun w -> Printf.eprintf "treediff: %s: %s\n" fmt.Doc_format.name w)
-    gen src
+(* The verbs this tool shares with the daemon run through one typed
+   executor: argv -> request -> print. *)
+module Verb = Treediff_serve.Verb
+
+let die failure =
+  Printf.eprintf "treediff: %s\n" (Verb.message failure);
+  exit (Verb.exit_code failure)
+
+let or_die = function Ok v -> v | Error failure -> die failure
+
+let warn_for (fmt : Doc_format.t) w =
+  Printf.eprintf "treediff: %s: %s\n" fmt.Doc_format.name w
+
+(* A file as a verb source, labelled with its path for parse errors. *)
+let source path = { Verb.label = path; text = read_file path }
+
+let sources old_file new_file =
+  let old_src = source old_file in
+  let new_src = source new_file in
+  (old_src, new_src)
 
 let handle_errors f =
-  try f () with
-  | Treediff_tree.Codec.Parse_error m | Doc_format.Parse_error m ->
-    Printf.eprintf "treediff: parse error: %s\n" m;
-    exit exit_parse_error
-  | Treediff_check.Diag.Failed ds ->
-    List.iter
-      (fun d -> prerr_endline (Treediff_check.Diag.to_string d))
-      ds;
-    exit exit_internal
-  | Treediff_util.Fault.Injected p ->
-    (* A TREEDIFF_FAULT crash simulation fired; report it instead of dying
-       with an uncaught exception so the resilience sweeps get a stable
-       exit code. *)
-    Printf.eprintf "treediff: injected fault fired at %s\n" p;
-    exit exit_internal
-
-let print_tree (fmt : Doc_format.t) t = fmt.Doc_format.render t
+  match f () with
+  | v -> v
+  | exception e -> (
+    (* a TREEDIFF_FAULT crash simulation, a parse error or a failed
+       diagnostic reports its class instead of dying uncaught, so the
+       resilience sweeps get a stable exit code *)
+    match Verb.failure_of_exn e with Some failure -> die failure | None -> raise e)
 
 let format_conv =
   let parse s =
@@ -88,40 +95,46 @@ let write_out output text =
    both print through the renderer the daemon answers with. *)
 module Render_diff = Treediff_doc.Render_diff
 
-let render_result mode output result =
-  match Render_diff.mode_of_name mode with
-  | Some (Render_diff.Script | Render_diff.Delta | Render_diff.Stats as m) ->
-    write_out output (Render_diff.render m result)
-  | Some _ | None ->
-    failwith (Printf.sprintf "unknown mode %S (script|delta|stats)" mode)
+let output_mode ~render mode =
+  let what, name, allowed =
+    match render with
+    | None -> ("mode", mode, Render_diff.[ Script; Delta; Stats ])
+    | Some kind -> ("rendering", kind, Render_diff.[ Side_by_side; Summary ])
+  in
+  match Verb.mode_of_name name with
+  | Ok m when List.mem m allowed -> Ok m
+  | Ok _ | Error _ ->
+    Error
+      (Verb.Bad_input
+         (Printf.sprintf "unknown %s %S (%s)" what name
+            (String.concat "|" (List.map Render_diff.mode_name allowed))))
 
-let make_budget budget_ms max_comparisons max_nodes =
+let make_exec budget_ms max_comparisons max_nodes =
   if budget_ms = None && max_comparisons = None && max_nodes = None then None
   else
     Some
-      (Treediff_util.Budget.make ?deadline_ms:budget_ms ?max_comparisons
-         ?max_nodes ())
+      (Treediff_util.Exec.create
+         ~budget:
+           (Treediff_util.Budget.make ?deadline_ms:budget_ms ?max_comparisons
+              ?max_nodes ())
+         ())
 
-let make_exec budget_ms max_comparisons max_nodes =
-  Option.map
-    (fun budget -> Treediff_util.Exec.create ~budget ())
-    (make_budget budget_ms max_comparisons max_nodes)
-
-(* Human-oriented renderings of the delta, orthogonal to [-m]. *)
-let render_delta kind result =
-  match Render_diff.mode_of_name kind with
-  | Some (Render_diff.Side_by_side | Render_diff.Summary as m) ->
-    Render_diff.render m result
-  | Some _ | None ->
-    failwith (Printf.sprintf "unknown rendering %S (side-by-side|summary)" kind)
+let algorithm_of_name ~approx name =
+  match (name, approx) with
+  | _, true | "approx", false -> Ok Treediff.Config.Approx_match
+  | "fast", false -> Ok Treediff.Config.Fast_match
+  | "simple", false -> Ok Treediff.Config.Simple_match
+  | a, false ->
+    Error (Verb.Bad_input (Printf.sprintf "unknown algorithm %S (fast|simple|approx)" a))
 
 let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
     window sim_threshold sim_top_k mode render zs budget_ms max_comparisons
     max_nodes output =
   handle_errors @@ fun () ->
-  let gen = Treediff_tree.Tree.gen () in
-  let t1 = parse_tree ~lenient format gen (read_file old_file) in
-  let t2 = parse_tree ~lenient format gen (read_file new_file) in
+  let input = { Verb.format; lenient } in
+  let t1, t2 =
+    or_die (Verb.parse_pair ~warn:(warn_for format) input (sources old_file new_file))
+  in
   let exec = make_exec budget_ms max_comparisons max_nodes in
   if zs then begin
     match Treediff_zs.Zhang_shasha.mapping ?exec t1 t2 with
@@ -133,41 +146,27 @@ let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
            r.Treediff_zs.Zhang_shasha.relabels)
     | exception Treediff_util.Budget.Exceeded e ->
       (* no degradation ladder for the baseline; report and stop *)
-      Printf.eprintf "treediff: %s\n" (Treediff_util.Budget.describe e);
-      exit exit_degraded
+      die (Verb.Deadline (Treediff_util.Budget.describe e))
   end
   else begin
-    let algorithm =
-      match (algorithm, approx) with
-      | _, true | "approx", false -> Treediff.Config.Approx_match
-      | "fast", false -> Treediff.Config.Fast_match
-      | "simple", false -> Treediff.Config.Simple_match
-      | a, false ->
-        failwith (Printf.sprintf "unknown algorithm %S (fast|simple|approx)" a)
-    in
-    let criteria =
-      Treediff_matching.Criteria.make ~leaf_f ~internal_t:threshold
-        ~compare:Treediff_textdiff.Word_compare.distance ()
-    in
-    let config =
+    let settings =
       {
-        (Treediff.Config.with_criteria criteria) with
-        algorithm;
-        scan_window = window;
+        Verb.default_settings with
+        algorithm = or_die (algorithm_of_name ~approx algorithm);
+        leaf_f;
+        internal_t = threshold;
+        window;
         sim_threshold;
         sim_top_k;
       }
     in
-    match Treediff.Diff.diff_result ~config ?exec t1 t2 with
-    | Ok result -> (
+    let mode = or_die (output_mode ~render mode) in
+    match Verb.diff ?exec { Verb.input; settings; mode } (t1, t2) with
+    | Ok { Verb.result; output = text } -> (
       (match Treediff.Diff.check result ~t1 ~t2 with
       | Ok () -> ()
-      | Error e ->
-        Printf.eprintf "treediff: internal check failed: %s\n" e;
-        exit exit_internal);
-      (match render with
-      | None -> render_result mode output result
-      | Some kind -> write_out output (render_delta kind result));
+      | Error e -> die (Verb.Internal ("internal check failed: " ^ e)));
+      write_out output text;
       match result.Treediff.Diff.degraded with
       | None -> ()
       | Some rung ->
@@ -175,17 +174,15 @@ let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
           "treediff: budget exceeded; degraded to the %s rung (output verified)\n"
           (Treediff.Diff.rung_name rung);
         exit exit_degraded)
-    | Error f ->
+    | Error (Verb.Ladder f as failure) ->
       List.iter
         (fun (attempt, reason) ->
           Printf.eprintf "treediff: %s attempt failed: %s\n" attempt reason)
         f.Treediff.Diff.attempts;
       (* last resort: a flat line diff of the two outlines *)
       write_out output (Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat);
-      exit
-        (match f.Treediff.Diff.cause with
-        | Treediff.Diff.Budget_exhausted _ -> exit_degraded
-        | _ -> exit_internal)
+      exit (Verb.exit_code failure)
+    | Error failure -> die failure
   end
 
 let old_file =
@@ -301,12 +298,15 @@ let diff_cmd =
 
 let run_apply tree_file script_file format lenient jobs output =
   handle_errors @@ fun () ->
-  let gen = Treediff_tree.Tree.gen () in
-  let t = parse_tree ~lenient format gen (read_file tree_file) in
+  let t =
+    or_die
+      (Verb.parse ~warn:(warn_for format) { Verb.format; lenient }
+         (Treediff_tree.Tree.gen ()) (source tree_file))
+  in
   let script =
     match Treediff_edit.Script_io.parse (read_file script_file) with
     | Ok script -> script
-    | Error msg -> failwith (Printf.sprintf "%s: %s" script_file msg)
+    | Error msg -> die (Verb.Bad_input (Printf.sprintf "%s: %s" script_file msg))
   in
   let apply () =
     match jobs with
@@ -319,7 +319,7 @@ let run_apply tree_file script_file format lenient jobs output =
       | exception Treediff_edit.Script.Apply_error msg -> Error msg)
   in
   match apply () with
-  | Ok t' -> write_out output (print_tree format t')
+  | Ok t' -> write_out output (format.Doc_format.render t')
   | Error msg ->
     Printf.eprintf "treediff: script does not apply: %s\n" msg;
     exit exit_internal
@@ -410,49 +410,45 @@ let collect_manifest path =
              b_new = resolve new_f;
            }
          | _ ->
-           failwith
-             (Printf.sprintf
-                "manifest line %d: expected two whitespace-separated paths"
-                (i + 1)))
+           die
+             (Verb.Bad_input
+                (Printf.sprintf "manifest line %d: expected two whitespace-separated paths"
+                   (i + 1))))
 
 let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
     budget_ms max_comparisons max_nodes out_dir =
   handle_errors @@ fun () ->
-  let config =
+  let req =
     {
-      Treediff.Config.default with
-      algorithm =
-        (if approx then Treediff.Config.Approx_match
-         else Treediff.Config.default.Treediff.Config.algorithm);
-      sim_threshold;
-      sim_top_k;
+      Verb.input = { Verb.format; lenient };
+      settings =
+        {
+          Verb.default_settings with
+          algorithm =
+            (if approx then Treediff.Config.Approx_match
+             else Verb.default_settings.Verb.algorithm);
+          sim_threshold;
+          sim_top_k;
+        };
+      mode = or_die (output_mode ~render:None mode);
     }
   in
   let items =
     if Sys.is_directory input then collect_dir input else collect_manifest input
   in
-  if items = [] then begin
-    Printf.eprintf "treediff: batch: no *.old.* pairs found in %s\n" input;
-    exit exit_parse_error
-  end;
+  if items = [] then
+    die (Verb.Bad_input (Printf.sprintf "batch: no *.old.* pairs found in %s" input));
   (* Parse sequentially (I/O-bound); a malformed pair is reported and scored
      like a `diff` parse error without sinking the rest of the batch. *)
   let parsed =
     List.map
       (fun item ->
-        match
-          let gen = Treediff_tree.Tree.gen () in
-          let t1 = parse_tree ~lenient format gen (read_file item.b_old) in
-          let t2 = parse_tree ~lenient format gen (read_file item.b_new) in
-          (t1, t2)
-        with
-        | pair -> (item, Ok pair)
-        | exception Doc_format.Parse_error m -> (item, Error m)
-        | exception Sys_error m -> (item, Error m))
+        match sources item.b_old item.b_new with
+        | s -> Verb.parse_pair ~warn:(warn_for format) req.Verb.input s
+        | exception Sys_error m -> Error (Verb.Bad_input m))
       items
   in
-  let good = List.filter_map (fun (i, r) -> Result.to_option r |> Option.map (fun p -> (i, p))) parsed in
-  let pairs = Array.of_list (List.map snd good) in
+  let pairs = Array.of_list (List.filter_map Result.to_option parsed) in
   (* One context per pair, budgets rearmed per pair: a straggler degrades
      alone instead of starving its successors. *)
   let execs _ =
@@ -460,64 +456,48 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
     | Some e -> e
     | None -> Treediff_util.Exec.create ()
   in
-  let outcomes = Treediff.Batch.run ~config ~execs ?jobs pairs in
-  let by_item = Hashtbl.create 16 in
-  List.iteri (fun i (item, _) -> Hashtbl.replace by_item item.b_stem outcomes.(i)) good;
+  let batched = or_die (Verb.batch ~execs ?jobs req pairs) in
   (match out_dir with
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | _ -> ());
-  let severity = ref 0 in
-  let bump code = if code > !severity then severity := code in
-  List.iter
-    (fun (item, parse_result) ->
-      match parse_result with
-      | Error m ->
-        bump exit_parse_error;
-        Printf.printf "parse-error  %s: %s\n" item.b_name m
-      | Ok _ -> (
-        match Hashtbl.find by_item item.b_stem with
-        | Ok (result : Treediff.Diff.t) ->
-          let m = result.Treediff.Diff.measure in
-          (match result.Treediff.Diff.degraded with
-          | None ->
-            Printf.printf "ok           %s (%d ops, cost %.2f)\n" item.b_name
-              (Treediff_edit.Script.unweighted m)
-              m.Treediff_edit.Script.cost
-          | Some rung ->
-            bump exit_degraded;
-            Printf.printf "degraded     %s (%s rung, %d ops, verified)\n"
-              item.b_name
-              (Treediff.Diff.rung_name rung)
-              (Treediff_edit.Script.unweighted m));
-          Option.iter
-            (fun dir ->
-              render_result mode
-                (Some (Filename.concat dir (item.b_stem ^ "." ^ mode)))
-                result)
-            out_dir
-        | Error (f : Treediff.Diff.failure) ->
-          bump exit_internal;
-          let reason =
-            match f.Treediff.Diff.attempts with
-            | (_, r) :: _ -> r
-            | [] -> "unknown"
-          in
-          Printf.printf "failed       %s: %s\n" item.b_name reason;
-          Option.iter
-            (fun dir ->
-              write_out
-                (Some (Filename.concat dir (item.b_stem ^ ".flat")))
-                (Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat))
-            out_dir))
-    parsed;
-  let n_ok =
-    List.length parsed
-    - List.length (List.filter (fun (_, r) -> Result.is_error r) parsed)
+  let save item ext text =
+    Option.iter
+      (fun dir -> write_out (Some (Filename.concat dir (item.b_stem ^ "." ^ ext))) text)
+      out_dir
   in
+  let next = ref 0 and severity = ref 0 in
+  List.iter2
+    (fun item parse ->
+      let code =
+        match parse with
+        | Error failure ->
+          Printf.printf "parse-error  %s: %s\n" item.b_name (Verb.message failure);
+          exit_parse_error
+        | Ok _ -> (
+          incr next;
+          match batched.Verb.items.(!next - 1) with
+          | Ok { Verb.result = { Treediff.Diff.measure = m; degraded; _ }; output } ->
+            let ops = Treediff_edit.Script.unweighted m in
+            save item mode output;
+            (match degraded with
+            | None ->
+              Printf.printf "ok           %s (%d ops, cost %.2f)\n" item.b_name ops
+                m.Treediff_edit.Script.cost;
+              0
+            | Some rung ->
+              Printf.printf "degraded     %s (%s rung, %d ops, verified)\n" item.b_name
+                (Treediff.Diff.rung_name rung) ops;
+              exit_degraded)
+          | Error (f : Treediff.Diff.failure) ->
+            Printf.printf "failed       %s: %s\n" item.b_name
+              (match f.Treediff.Diff.attempts with (_, r) :: _ -> r | [] -> "unknown");
+            save item "flat" (Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat);
+            exit_internal)
+      in
+      severity := max !severity code)
+    items parsed;
   Printf.eprintf "treediff: batch: %d pairs (%d parsed), %d degraded, %d failed\n"
-    (List.length parsed) n_ok
-    (Treediff.Batch.degraded_count outcomes)
-    (Treediff.Batch.failed_count outcomes);
+    (List.length items) (Array.length pairs) batched.Verb.degraded batched.Verb.failed;
   if !severity > 0 then exit !severity
 
 let batch_input =
@@ -566,45 +546,26 @@ module Diag = Treediff_check.Diag
 let run_check old_file new_file format lenient script_file delta_file audit
     exhaustive output =
   handle_errors @@ fun () ->
-  let gen = Treediff_tree.Tree.gen () in
-  let t1 = parse_tree ~lenient format gen (read_file old_file) in
-  let t2 = parse_tree ~lenient format gen (read_file new_file) in
-  if exhaustive && (script_file <> None || delta_file <> None) then
-    failwith "--audit-exhaustive requires the self-check mode (no --script/--delta)";
-  let diags, oracle_summary =
+  let artifact =
     match (script_file, delta_file) with
-    | Some _, Some _ -> failwith "--script and --delta are mutually exclusive"
-    | Some sf, None -> (
-      (* A serialized script: lint + conformance against the tree pair.  No
-         matching is available, so the matching analyzer does not run. *)
-      match Treediff_edit.Script_io.parse (read_file sf) with
-      | Error msg -> ([ Diag.make Diag.Script_parse "%s: %s" sf msg ], None)
-      | Ok script -> (Treediff_check.Check.verify ~t1 ~t2 script, None))
-    | None, Some df -> (
-      (* A serialized delta: structural rules + does it reproduce NEW. *)
-      match Treediff.Delta_io.parse (read_file df) with
-      | Error msg -> ([ Diag.make Diag.Delta_parse "%s: %s" df msg ], None)
-      | Ok delta -> (Treediff.Delta_check.run ~new_tree:t2 delta, None))
-    | None, None ->
-      (* Self-check: diff the pair, then verify our own artifacts. *)
-      let config = Treediff.Config.(with_check false default) in
-      let result = Treediff.Diff.diff ~config t1 t2 in
-      let diags = Treediff.Diff.verify ~config ~audit_data:audit result ~t1 ~t2 in
-      if exhaustive then begin
-        (* Minimality audit: prove the generator's op count minimal on
-           every maximal matched subtree pair small enough to decide. *)
-        let report =
-          Treediff.Oracle_audit.run ~matching:result.Treediff.Diff.matching
-            ~t1 ~t2 ()
-        in
-        (diags @ report.Treediff.Oracle_audit.diags,
-         Some (Treediff.Oracle_audit.summary report))
-      end
-      else (diags, None)
+    | Some _, Some _ -> die (Verb.Bad_input "--script and --delta are mutually exclusive")
+    | (Some _, None | None, Some _) when exhaustive ->
+      die
+        (Verb.Bad_input
+           "--audit-exhaustive requires the self-check mode (no --script/--delta)")
+    | Some sf, None -> Verb.Stored_script (source sf)
+    | None, Some df -> Verb.Stored_delta (source df)
+    | None, None -> Verb.Self { audit; exhaustive }
+  in
+  let { Verb.diags; oracle } =
+    or_die
+      (Verb.check ~warn:(warn_for format)
+         { Verb.input = { Verb.format; lenient }; settings = Verb.default_settings; artifact }
+         (sources old_file new_file))
   in
   let buf = Buffer.create 256 in
   List.iter (fun d -> Buffer.add_string buf (Diag.to_string d ^ "\n")) diags;
-  Option.iter (fun s -> Buffer.add_string buf (s ^ "\n")) oracle_summary;
+  Option.iter (fun s -> Buffer.add_string buf (s ^ "\n")) oracle;
   Buffer.add_string buf (Diag.summary diags ^ "\n");
   write_out output (Buffer.contents buf);
   if Diag.errors diags <> [] then exit 1
@@ -662,11 +623,7 @@ module Chain = Treediff_store.Chain
 
 (* Store-level errors (missing versions, refused deltas, damaged archives)
    are user-facing operational failures, not internal bugs: exit 1. *)
-let ok_or_die = function
-  | Ok v -> v
-  | Error msg ->
-    Printf.eprintf "treediff: store: %s\n" msg;
-    exit 1
+let ok_or_die = function Ok v -> v | Error msg -> die (Verb.Store msg)
 
 let open_corpus dir =
   let corpus = ok_or_die (Shard.open_ dir) in
@@ -684,6 +641,10 @@ let open_corpus dir =
        bytes\n"
       dir (List.length aborted));
   corpus
+
+(* The store verbs the daemon shares run through {!Verb.store}. *)
+let run_store ?exec ?warn archive verb =
+  or_die (Verb.store ?exec ?warn (open_corpus archive) verb)
 
 let policy_string ~interval ~max_replay_ops =
   match (interval, max_replay_ops) with
@@ -704,9 +665,10 @@ let run_store_init archive interval max_replay_ops shards =
 
 let run_store_commit archive tree_file format lenient doc =
   handle_errors @@ fun () ->
-  let gen = Treediff_tree.Tree.gen () in
-  let tree = parse_tree ~lenient format gen (read_file tree_file) in
-  let entry = ok_or_die (Shard.commit (open_corpus archive) ~doc tree) in
+  let entry =
+    run_store ~warn:(warn_for format) archive
+      (Verb.Commit { input = { Verb.format; lenient }; doc; tree = source tree_file })
+  in
   Printf.printf "committed version %d (%s, %d ops, %d bytes)\n"
     entry.Shard.version
     (Chain.kind_name entry.Shard.kind)
@@ -724,19 +686,17 @@ let print_entries entries =
 
 let run_store_log archive doc =
   handle_errors @@ fun () ->
-  let corpus = open_corpus archive in
   match doc with
-  | Some doc -> print_entries (ok_or_die (Shard.log corpus doc))
+  | Some doc -> print_entries (run_store archive (Verb.Log { doc }))
   | None ->
     Printf.printf "%-24s %8s %5s  %s\n" "document" "versions" "shard" "head hash";
     List.iter
-      (fun d ->
-        Printf.printf "%-24s %8d %5d  %s\n" d (Shard.versions corpus d)
-          (Shard.shard_of corpus d)
-          (match Shard.head_hash corpus d with
+      (fun (r : Verb.catalog_row) ->
+        Printf.printf "%-24s %8d %5d  %s\n" r.Verb.doc r.Verb.versions r.Verb.shard
+          (match r.Verb.head with
           | Some h -> Printf.sprintf "%016Lx" h
           | None -> "-"))
-      (Shard.docs corpus)
+      (run_store archive Verb.Catalog)
 
 let run_store_show archive version output doc =
   handle_errors @@ fun () ->
@@ -769,23 +729,13 @@ let run_store_show archive version output doc =
 
 let run_store_materialize archive version verify budget_ms format output doc =
   handle_errors @@ fun () ->
-  let exec =
-    Option.map
-      (fun ms ->
-        Treediff_util.Exec.create ~budget:(Treediff_util.Budget.make ~deadline_ms:ms ()) ())
-      budget_ms
-  in
-  match Shard.materialize ~verify ?exec (open_corpus archive) ~doc version with
-  | Ok tree -> write_out output (print_tree format tree)
-  | Error msg -> ok_or_die (Error msg)
-  | exception Treediff_util.Budget.Exceeded e ->
-    Printf.eprintf "treediff: store: %s\n" (Treediff_util.Budget.describe e);
-    exit exit_degraded
+  let exec = make_exec budget_ms None None in
+  write_out output
+    (run_store ?exec archive (Verb.Materialize { doc; version; verify; format }))
 
 let run_store_diff archive from_ to_ output doc =
   handle_errors @@ fun () ->
-  let script = ok_or_die (Shard.diff_between (open_corpus archive) ~doc ~from_ ~to_) in
-  write_out output (Treediff_edit.Script_io.to_string script)
+  write_out output (run_store archive (Verb.Compose { doc; from_; to_ }))
 
 let run_store_gc archive prune_before doc jobs =
   handle_errors @@ fun () ->
@@ -837,13 +787,11 @@ let sources_of_dir ~format ~lenient docs_dir =
                        (* called from pool domains: fresh generator per call,
                           failures reported as typed errors so one bad file
                           skips its document, not the ingest *)
-                       match
-                         let gen = Treediff_tree.Tree.gen () in
-                         parse_tree ~lenient format gen (read_file files.(v))
-                       with
-                       | tree -> Ok tree
-                       | exception Doc_format.Parse_error m ->
-                         Error (Printf.sprintf "%s: parse error: %s" files.(v) m)
+                       match source files.(v) with
+                       | src ->
+                         Verb.parse ~warn:(warn_for format) { Verb.format; lenient }
+                           (Treediff_tree.Tree.gen ()) src
+                         |> Result.map_error Verb.message
                        | exception Sys_error m -> Error m);
                  }
            end)
@@ -1081,7 +1029,7 @@ let store_cmd =
 
 module Server = Treediff_serve.Server
 module Client = Treediff_serve.Client
-module Sjson = Treediff_serve.Json
+module Json = Treediff_util.Json
 module Sproto = Treediff_serve.Protocol
 
 let run_serve host port stdio max_queue degrade_queue flat_queue
@@ -1187,23 +1135,23 @@ let run_remote verb old_file new_file host port mode deadline_ms approx
   handle_errors @@ fun () ->
   let base =
     (match old_file with
-    | Some f -> [ ("old", Sjson.Str (read_file f)) ]
+    | Some f -> [ ("old", Json.Str (read_file f)) ]
     | None -> [])
     @ (match new_file with
-      | Some f -> [ ("new", Sjson.Str (read_file f)) ]
+      | Some f -> [ ("new", Json.Str (read_file f)) ]
       | None -> [])
-    @ [ ("mode", Sjson.Str mode) ]
+    @ [ ("mode", Json.Str mode) ]
     @ (match deadline_ms with
-      | Some ms -> [ ("deadline_ms", Sjson.float ms) ]
+      | Some ms -> [ ("deadline_ms", Json.float ms) ]
       | None -> [])
-    @ if approx then [ ("approx", Sjson.Bool true) ] else []
+    @ if approx then [ ("approx", Json.Bool true) ] else []
   in
   let extra =
     match params_json with
     | None -> []
     | Some s -> (
-      match Sjson.parse s with
-      | Ok (Sjson.Obj kvs) -> kvs
+      match Json.parse s with
+      | Ok (Json.Obj kvs) -> kvs
       | Ok _ ->
         Printf.eprintf "treediff: remote: --params must be a JSON object\n";
         exit exit_parse_error
@@ -1213,7 +1161,7 @@ let run_remote verb old_file new_file host port mode deadline_ms approx
   in
   (* --params wins over the derived fields *)
   let params =
-    Sjson.Obj
+    Json.Obj
       (List.filter (fun (k, _) -> not (List.mem_assoc k extra)) base @ extra)
   in
   let req = { Sproto.id = 1; verb; params } in
@@ -1237,11 +1185,11 @@ let run_remote verb old_file new_file host port mode deadline_ms approx
       message;
     exit (remote_exit_of_kind kind)
   | Ok (Sproto.Ok_resp body) ->
-    (match Sjson.mem_str "output" body with
+    (match Json.mem_str "output" body with
     | Some s -> write_out output s
-    | None -> write_out output (Sjson.to_string body ^ "\n"));
-    (match Sjson.member "degraded" body with
-    | Some (Sjson.Str _) -> exit exit_degraded
+    | None -> write_out output (Json.to_string body ^ "\n"));
+    (match Json.member "degraded" body with
+    | Some (Json.Str _) -> exit exit_degraded
     | Some _ | None -> ())
 
 let remote_verb =

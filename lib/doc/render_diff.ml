@@ -4,13 +4,17 @@ module Stats = Treediff_util.Stats
 
 type mode = Script | Delta | Stats | Side_by_side | Summary
 
-let mode_of_name = function
-  | "script" -> Some Script
-  | "delta" -> Some Delta
-  | "stats" -> Some Stats
-  | "side-by-side" -> Some Side_by_side
-  | "summary" -> Some Summary
-  | _ -> None
+let modes =
+  [
+    ("script", Script);
+    ("delta", Delta);
+    ("stats", Stats);
+    ("side-by-side", Side_by_side);
+    ("summary", Summary);
+  ]
+
+let mode_of_name name = List.assoc_opt name modes
+let mode_name mode = fst (List.find (fun (_, m) -> m = mode) modes)
 
 let stats (result : Diff.t) =
   let m = result.Diff.measure in

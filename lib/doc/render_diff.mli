@@ -13,4 +13,7 @@ type mode =
 val mode_of_name : string -> mode option
 (** ["script"], ["delta"], ["stats"], ["side-by-side"] or ["summary"]. *)
 
+val mode_name : mode -> string
+(** The inverse of {!mode_of_name}. *)
+
 val render : mode -> Treediff.Diff.t -> string

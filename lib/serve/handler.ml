@@ -6,13 +6,10 @@ module Diag = Treediff_check.Diag
 module Diff = Treediff.Diff
 module Config = Treediff.Config
 module Codec = Treediff_tree.Codec
-module Iso = Treediff_tree.Iso
 module Script = Treediff_edit.Script
-module Script_io = Treediff_edit.Script_io
 module Line_diff = Treediff_textdiff.Line_diff
 module Shard = Treediff_store.Shard
 module Doc_format = Treediff_doc.Format
-module Render_diff = Treediff_doc.Render_diff
 
 type pressure = Full | Forced_approx | Flat_only
 
@@ -132,269 +129,205 @@ let cache_put t key value =
   | exception Fault.Injected _ -> t.cache_faults <- t.cache_faults + 1
   | exception Budget.Exceeded _ -> t.cache_faults <- t.cache_faults + 1
 
-(* ------------------------------------------------------------- tree input *)
+(* ------------------------------------------------------------- requests *)
 
-exception Bad_params of string
+(* JSON -> typed request.  Every verb below decodes its params into a
+   {!Verb} request and runs it there, so parsing, the diff configuration,
+   rendering and failure classification are the CLI's own code.  A request
+   the daemon refuses raises [Rejected]; the barrier in {!handle} answers
+   it.  Params are decoded with explicit [let]s, in order: OCaml evaluates
+   tuple and record fields right to left. *)
+exception Rejected of Verb.failure
+
+let reject m = raise (Rejected (Verb.Bad_input m))
+let accept = function Ok v -> v | Error f -> raise (Rejected f)
+
+let str_param name params =
+  match Json.mem_str name params with
+  | Some s -> s
+  | None -> reject (Printf.sprintf "missing string param %S" name)
 
 (* Per-request tree format, resolved through the same registry as the CLIs:
    the supported set and the unknown-format error text are identical to
-   [treediff -f]'s, so the daemon and the local tool can never drift. *)
-let format_of_params params =
+   [treediff -f]'s. *)
+let format_param params =
   match Json.mem_str "format" params with
   | None -> Doc_format.sexp
   | Some name -> (
-    match Doc_format.find name with
-    | Ok f -> f
-    | Error m -> raise (Bad_params m))
+    match Doc_format.find name with Ok f -> f | Error m -> reject m)
 
-let lenient_of_params params =
-  Option.value ~default:false (Json.mem_bool "lenient" params)
+let input_params params =
+  let format = format_param params in
+  let lenient = Option.value ~default:false (Json.mem_bool "lenient" params) in
+  { Verb.format; lenient }
 
-let parse_tree_param ~gen ?(fmt = Doc_format.sexp) ?(lenient = false) name
-    params =
-  match Json.mem_str name params with
-  | None -> raise (Bad_params (Printf.sprintf "missing string param %S" name))
-  | Some src -> (
-    match fmt.Doc_format.parse_result ~lenient gen src with
-    | Ok (t, _warnings) -> t
-    | Error m ->
-      raise (Bad_params (Printf.sprintf "%s: parse error: %s" name m)))
+let source_param name params = { Verb.label = name; text = str_param name params }
 
-(* ------------------------------------------------------------ diff verb *)
+let sources_params params =
+  let old_src = source_param "old" params in
+  let new_src = source_param "new" params in
+  (old_src, new_src)
 
-(* The requested output mode: its name is echoed in the answer and keyed in
-   the cache; the rendering is {!Render_diff}'s, the code the CLI prints
-   with. *)
-let render_mode params =
+(* The requested output mode: its name is echoed in the answer. *)
+let mode_param params =
   let name = Option.value ~default:"script" (Json.mem_str "mode" params) in
-  match Render_diff.mode_of_name name with
-  | Some mode -> (name, mode)
-  | None -> raise (Bad_params (Printf.sprintf "unknown mode %S" name))
+  (name, accept (Verb.mode_of_name name))
 
-(* Same defaults as the [treediff diff] CLI — word-LCS leaf comparison with
-   the paper's f=0.5/t=0.6 thresholds — so the daemon and the local tool
-   give identical answers for identical inputs.  The criteria are fixed per
-   server (not per request): the cache key covers everything that varies. *)
-let serve_criteria =
-  Treediff_matching.Criteria.make
-    ~compare:Treediff_textdiff.Word_compare.distance ()
-
-let diff_config ~pressure params =
+(* The CLI's diff defaults (word-LCS leaf compare, f = 0.5, t = 0.6), with
+   the sanitizer off: a diff answer is verified by the ladder, not per
+   request.  [Forced_approx] pressure pins the approx matcher. *)
+let settings_params ~pressure params =
   let approx =
     Option.value ~default:false (Json.mem_bool "approx" params)
     || pressure = Forced_approx
   in
-  let sim_threshold =
-    Option.map int_of_float (Json.mem_num "sim_threshold" params)
-  in
-  let sim_top_k =
-    match Json.mem_num "sim_top_k" params with
-    | Some k -> int_of_float k
-    | None -> Config.default.Config.sim_top_k
-  in
   {
-    (Config.with_criteria serve_criteria) with
+    Verb.default_settings with
     algorithm =
-      (if approx then Config.Approx_match else Config.default.Config.algorithm);
-    sim_threshold;
-    sim_top_k;
-    check = false;
+      (if approx then Config.Approx_match else Verb.default_settings.Verb.algorithm);
+    sim_threshold = Option.map int_of_float (Json.mem_num "sim_threshold" params);
+    sim_top_k =
+      (match Json.mem_num "sim_top_k" params with
+      | Some k -> int_of_float k
+      | None -> Verb.default_settings.Verb.sim_top_k);
+    sanitize = false;
   }
+
+let budget_exec deadline_ms = Exec.create ~budget:(Budget.make ~deadline_ms ()) ()
+
+(* ------------------------------------------------------------ diff verb *)
 
 (* Only full-quality and explicitly-approx results are cached: a result the
    ladder degraded under a deadline depends on that request's budget, and a
    flat-pressure answer depends on the queue — neither is a function of the
-   inputs alone, so neither belongs in a cache keyed only by them. *)
+   request alone, so neither belongs in a cache keyed by it. *)
 let cacheable (result : Diff.t) = result.Diff.degraded = None
 
-let cache_key ~mode ~(config : Config.t) t1 t2 =
-  Printf.sprintf "diff:%Lx:%Lx:%s:%s:%s:%d"
-    (Iso.hash t1) (Iso.hash t2) mode
-    (match config.Config.algorithm with
-    | Config.Fast_match -> "fast"
-    | Config.Simple_match -> "simple"
-    | Config.Approx_match -> "approx")
-    (match config.Config.sim_threshold with
-    | None -> "-"
-    | Some n -> string_of_int n)
-    config.Config.sim_top_k
+let rung_json (result : Diff.t) =
+  match result.Diff.degraded with
+  | None -> Json.Null
+  | Some rung -> Json.Str (Diff.rung_name rung)
 
-let flat_output t1 t2 =
+let flat_output (t1, t2) =
   (* the same last-resort rendering Diff's failure path uses, computed
      directly — structure-blind, linear, no budget required *)
   Line_diff.render (Line_diff.diff (Codec.to_string t1) (Codec.to_string t2))
 
-let run_diff t ~pressure ~deadline_ms req =
-  let params = req.Protocol.params in
-  let mode_name, mode = render_mode params in
-  let fmt = format_of_params params in
-  let lenient = lenient_of_params params in
-  let gen = Treediff_tree.Tree.gen () in
-  let t1 = parse_tree_param ~gen ~fmt ~lenient "old" params in
-  let t2 = parse_tree_param ~gen ~fmt ~lenient "new" params in
+let run_diff t ~pressure ~deadline_ms params =
+  let mode_name, mode = mode_param params in
+  let input = input_params params in
+  let pair = accept (Verb.parse_pair input (sources_params params)) in
+  let req = { Verb.input; settings = settings_params ~pressure params; mode } in
+  let answer ?(mode = mode_name) ~output ~degraded ?ops ~forced ~cached () =
+    Json.Obj
+      ([ ("mode", Json.Str mode); ("output", Json.Str output); ("degraded", degraded) ]
+      @ Option.fold ~none:[] ~some:(fun n -> [ ("ops", Json.int n) ]) ops
+      @ [ ("forced", forced); ("cached", Json.Bool cached) ])
+  in
+  let forced = if pressure = Forced_approx then Json.Str "approx" else Json.Null in
   if pressure = Flat_only then begin
     t.degraded <- t.degraded + 1;
-    Ok
-      (Json.Obj
-         [
-           ("mode", Json.Str "flat");
-           ("output", Json.Str (flat_output t1 t2));
-           ("degraded", Json.Str "flat");
-           ("forced", Json.Str "flat");
-           ("cached", Json.Bool false);
-         ])
+    answer ~mode:"flat" ~output:(flat_output pair) ~degraded:(Json.Str "flat")
+      ~forced:(Json.Str "flat") ~cached:false ()
   end
   else begin
-    let config = diff_config ~pressure params in
-    let key = cache_key ~mode:mode_name ~config t1 t2 in
+    let key = Verb.diff_key req pair in
     match cache_find t key with
-    | Some output ->
-      Ok
-        (Json.Obj
-           [
-             ("mode", Json.Str mode_name);
-             ("output", Json.Str output);
-             ("degraded", Json.Null);
-             ("forced",
-              if pressure = Forced_approx then Json.Str "approx" else Json.Null);
-             ("cached", Json.Bool true);
-           ])
-    | None -> (
-      let exec = Exec.create ~budget:(Budget.make ~deadline_ms ()) () in
-      match Diff.diff_result ~config ~exec t1 t2 with
-      | Ok result ->
-        let output = Render_diff.render mode result in
-        if cacheable result then cache_put t key output;
-        let degraded =
-          match result.Diff.degraded with
-          | None -> Json.Null
-          | Some rung -> Json.Str (Diff.rung_name rung)
-        in
-        if result.Diff.degraded <> None || pressure = Forced_approx then
-          t.degraded <- t.degraded + 1;
-        Ok
-          (Json.Obj
-             [
-               ("mode", Json.Str mode_name);
-               ("output", Json.Str output);
-               ("degraded", degraded);
-               ("ops", Json.int (Script.unweighted result.Diff.measure));
-               ("forced",
-                if pressure = Forced_approx then Json.Str "approx" else Json.Null);
-               ("cached", Json.Bool false);
-             ])
-      | Error f -> (
-        match f.Diff.cause with
-        | Diff.Budget_exhausted e ->
-          Error (Protocol.Deadline, Budget.describe e)
-        | Diff.Diagnostics ds ->
-          Error (Protocol.Internal, Diag.summary ds)
-        | Diff.Fault p ->
-          Error (Protocol.Internal, "injected fault at " ^ p)
-        | Diff.Exception m -> Error (Protocol.Internal, m)))
+    | Some output -> answer ~output ~degraded:Json.Null ~forced ~cached:true ()
+    | None ->
+      let { Verb.result; output } =
+        accept (Verb.diff ~exec:(budget_exec deadline_ms) req pair)
+      in
+      if cacheable result then cache_put t key output;
+      if result.Diff.degraded <> None || pressure = Forced_approx then
+        t.degraded <- t.degraded + 1;
+      answer ~output ~degraded:(rung_json result)
+        ~ops:(Script.unweighted result.Diff.measure) ~forced ~cached:false ()
   end
 
 (* ------------------------------------------------------------ batch verb *)
 
-let run_batch t ~pressure ~deadline_ms req =
-  let params = req.Protocol.params in
-  let _, mode = render_mode params in
+let run_batch t ~pressure ~deadline_ms params =
+  let _, mode = mode_param params in
   let pairs_json =
     match Option.bind (Json.member "pairs" params) Json.arr with
     | Some l -> l
-    | None -> raise (Bad_params "missing array param \"pairs\"")
+    | None -> reject "missing array param \"pairs\""
   in
-  let fmt = format_of_params params in
-  let lenient = lenient_of_params params in
-  let gen = Treediff_tree.Tree.gen () in
-  let parse_side i name p =
-    match Json.mem_str name p with
-    | None ->
-      raise (Bad_params (Printf.sprintf "pairs[%d]: missing %S" i name))
-    | Some src -> (
-      match fmt.Doc_format.parse_result ~lenient gen src with
-      | Ok (t, _warnings) -> t
-      | Error m ->
-        raise (Bad_params (Printf.sprintf "pairs[%d]: parse error: %s" i m)))
-  in
+  let input = input_params params in
   let pairs =
-    List.mapi (fun i p -> (parse_side i "old" p, parse_side i "new" p))
-      pairs_json
-    |> Array.of_list
+    Array.of_list pairs_json
+    |> Array.mapi (fun i p ->
+           let side name =
+             match Json.mem_str name p with
+             | Some text -> { Verb.label = Printf.sprintf "pairs[%d]" i; text }
+             | None -> reject (Printf.sprintf "pairs[%d]: missing %S" i name)
+           in
+           let old_src = side "old" in
+           let new_src = side "new" in
+           (old_src, new_src))
   in
   let jobs =
     match Json.mem_num "jobs" params with
     | Some j when j >= 1. -> Some (int_of_float j)
     | Some _ | None -> None
   in
-  let config = diff_config ~pressure params in
+  let req = { Verb.input; settings = settings_params ~pressure params; mode } in
+  (* one unparsable pair refuses the whole request *)
+  let trees = Array.map (fun s -> accept (Verb.parse_pair input s)) pairs in
   (* Every pair runs in its own context under the request's residual
      allowance: the whole batch is one admitted unit, so one deadline
      bounds each member rather than being re-granted per pair. *)
-  let execs _ = Exec.create ~budget:(Budget.make ~deadline_ms ()) () in
-  let outcomes = Treediff.Batch.run ~config ~execs ?jobs pairs in
-  let results =
-    Array.to_list outcomes
-    |> List.map (function
-         | Ok (r : Diff.t) ->
-           let fields =
-             [
-               ("status",
-                Json.Str (match r.Diff.degraded with None -> "ok" | Some _ -> "degraded"));
-               ("ops", Json.int (Script.unweighted r.Diff.measure));
-               ("output", Json.Str (Render_diff.render mode r));
-             ]
-           in
-           (match r.Diff.degraded with
-           | None -> Json.Obj fields
-           | Some rung -> Json.Obj (fields @ [ ("rung", Json.Str (Diff.rung_name rung)) ]))
-         | Error (f : Diff.failure) ->
-           let reason =
-             match f.Diff.attempts with (_, r) :: _ -> r | [] -> "unknown"
-           in
-           Json.Obj
-             [ ("status", Json.Str "failed"); ("reason", Json.Str reason) ])
+  let batched =
+    accept (Verb.batch ~execs:(fun _ -> budget_exec deadline_ms) ?jobs req trees)
   in
-  let n_degraded = Treediff.Batch.degraded_count outcomes in
-  if n_degraded > 0 then t.degraded <- t.degraded + 1;
-  Ok
-    (Json.Obj
-       [
-         ("pairs", Json.int (Array.length pairs));
-         ("degraded", Json.int n_degraded);
-         ("failed", Json.int (Treediff.Batch.failed_count outcomes));
-         ("results", Json.Arr results);
-       ])
+  let results =
+    Array.to_list batched.Verb.items
+    |> List.map (function
+         | Ok { Verb.result = r; output } ->
+           Json.Obj
+             ([
+                ("status", Json.Str (if r.Diff.degraded = None then "ok" else "degraded"));
+                ("ops", Json.int (Script.unweighted r.Diff.measure));
+                ("output", Json.Str output);
+              ]
+             @ match rung_json r with Json.Null -> [] | rung -> [ ("rung", rung) ])
+         | Error (f : Diff.failure) ->
+           let reason = match f.Diff.attempts with (_, r) :: _ -> r | [] -> "unknown" in
+           Json.Obj [ ("status", Json.Str "failed"); ("reason", Json.Str reason) ])
+  in
+  if batched.Verb.degraded > 0 then t.degraded <- t.degraded + 1;
+  Json.Obj
+    [
+      ("pairs", Json.int (Array.length pairs));
+      ("degraded", Json.int batched.Verb.degraded);
+      ("failed", Json.int batched.Verb.failed);
+      ("results", Json.Arr results);
+    ]
 
 (* ------------------------------------------------------------ check verb *)
 
-let run_check ~deadline_ms req =
-  let params = req.Protocol.params in
-  let fmt = format_of_params params in
-  let lenient = lenient_of_params params in
-  let gen = Treediff_tree.Tree.gen () in
-  let t1 = parse_tree_param ~gen ~fmt ~lenient "old" params in
-  let t2 = parse_tree_param ~gen ~fmt ~lenient "new" params in
-  let exec = Exec.create ~budget:(Budget.make ~deadline_ms ()) () in
-  let config = Config.(with_check false default) in
-  let diags =
+let run_check ~deadline_ms params =
+  let input = input_params params in
+  let sources = sources_params params in
+  let artifact =
     match Json.mem_str "script" params with
-    | Some src -> (
-      match Script_io.parse src with
-      | Error msg -> [ Diag.make Diag.Script_parse "script: %s" msg ]
-      | Ok script -> Treediff_check.Check.verify ~t1 ~t2 script)
-    | None ->
-      let result = Diff.diff ~config ~exec t1 t2 in
-      Diff.verify ~config result ~t1 ~t2
+    | Some text -> Verb.Stored_script { Verb.label = "script"; text }
+    | None -> Verb.Self { audit = false; exhaustive = false }
   in
-  Ok
-    (Json.Obj
-       [
-         ("diagnostics",
-          Json.Arr (List.map (fun d -> Json.Str (Diag.to_string d)) diags));
-         ("errors", Json.int (List.length (Diag.errors diags)));
-         ("summary", Json.Str (Diag.summary diags));
-       ])
+  let { Verb.diags; oracle = _ } =
+    accept
+      (Verb.check ~exec:(budget_exec deadline_ms)
+         { Verb.input; settings = Verb.default_settings; artifact }
+         sources)
+  in
+  Json.Obj
+    [
+      ("diagnostics",
+       Json.Arr (List.map (fun d -> Json.Str (Diag.to_string d)) diags));
+      ("errors", Json.int (List.length (Diag.errors diags)));
+      ("summary", Json.Str (Diag.summary diags));
+    ]
 
 (* ------------------------------------------------------------ store verbs *)
 
@@ -409,21 +342,11 @@ let run_check ~deadline_ms req =
    during one request cannot carry that request's expired deadline into
    the next. *)
 
-let archive_param params =
-  match Json.mem_str "archive" params with
-  | Some p -> p
-  | None -> raise (Bad_params "missing string param \"archive\"")
-
 let version_param name params =
   match Json.mem_num name params with
   | Some v when Float.is_integer v && v >= 0. -> int_of_float v
-  | Some _ -> raise (Bad_params (Printf.sprintf "param %S must be a version number" name))
-  | None -> raise (Bad_params (Printf.sprintf "missing numeric param %S" name))
-
-let doc_param params =
-  match Json.mem_str "doc" params with
-  | Some doc -> doc
-  | None -> raise (Bad_params "missing string param \"doc\"")
+  | Some _ -> reject (Printf.sprintf "param %S must be a version number" name)
+  | None -> reject (Printf.sprintf "missing numeric param %S" name)
 
 let store_fingerprint path =
   match Unix.stat (Filename.concat path "MANIFEST") with
@@ -439,42 +362,35 @@ let store_revalidate t path handle =
   | Some fingerprint -> Cache.put t.stores path { handle; fingerprint }
   | None -> ()
 
-let with_store t ~budget params f =
-  let path = archive_param params in
+let with_store t ~budget path f =
   let fingerprint = store_fingerprint path in
   let cached =
     match (Cache.find t.stores path, fingerprint) with
     | Some { handle; fingerprint = fp }, Some now when fp = now -> Some handle
     | _ (* cold, or stale: modified or gc-rewritten since it was opened *) -> None
   in
-  let opened =
+  let handle =
     match cached with
     | Some handle ->
       t.store_hits <- t.store_hits + 1;
-      Ok handle
-    | None -> (
+      handle
+    | None ->
       (* the cached handle outlives this request, so it gets a plain
          context; budgets are passed per operation.  Opening a path that
          is no archive says why (a legacy file names its migration). *)
-      match Shard.open_ ~exec:(Exec.create ()) path with
-      | Error msg -> Error (Protocol.Bad_request, "store: " ^ msg)
-      | Ok handle ->
-        t.store_misses <- t.store_misses + 1;
-        Option.iter
-          (fun fingerprint -> Cache.put t.stores path { handle; fingerprint })
-          fingerprint;
-        Ok handle)
+      let handle =
+        match Shard.open_ ~exec:(Exec.create ()) path with
+        | Ok handle -> handle
+        | Error msg -> raise (Rejected (Verb.Store msg))
+      in
+      t.store_misses <- t.store_misses + 1;
+      Option.iter
+        (fun fingerprint -> Cache.put t.stores path { handle; fingerprint })
+        fingerprint;
+      handle
   in
-  match opened with
-  | Error _ as e -> e
-  | Ok handle ->
-    (* hand the operation the residual allowance of this request *)
-    let exec =
-      Exec.create
-        ~budget:(Budget.make ~deadline_ms:(Budget.remaining_ms budget) ())
-        ()
-    in
-    f ~exec handle
+  (* hand the operation the residual allowance of this request *)
+  f ~exec:(budget_exec (Budget.remaining_ms budget)) handle
 
 let entry_json (e : Shard.entry) =
   Json.Obj
@@ -486,73 +402,62 @@ let entry_json (e : Shard.entry) =
       ("hash", Json.Str (Printf.sprintf "%016Lx" e.Shard.hash));
     ]
 
-let run_store t ~budget verb req =
-  let params = req.Protocol.params in
-  let answer to_json = function
-    | Ok v -> Ok (to_json v)
-    | Error msg -> Error (Protocol.Bad_request, "store: " ^ msg)
-  in
-  match verb with
-  | "store/log" ->
-    with_store t ~budget params (fun ~exec:_ corpus ->
+(* Each verb decodes its params once the archive is open (a request naming
+   a bad archive is refused for that first). *)
+let run_store t ~budget verb params =
+  let path = str_param "archive" params in
+  with_store t ~budget path (fun ~exec corpus ->
+      let run req = accept (Verb.store ~exec corpus req) in
+      let doc () = str_param "doc" params in
+      match verb with
+      | "store/log" -> (
         match Json.mem_str "doc" params with
         | Some doc ->
-          answer
-            (fun entries ->
-              Json.Obj
-                [
-                  ("doc", Json.Str doc);
-                  ("versions", Json.int (List.length entries));
-                  ("entries", Json.Arr (List.map entry_json entries));
-                ])
-            (Shard.log corpus doc)
+          let entries = run (Verb.Log { doc }) in
+          Json.Obj
+            [
+              ("doc", Json.Str doc);
+              ("versions", Json.int (List.length entries));
+              ("entries", Json.Arr (List.map entry_json entries));
+            ]
         | None ->
           (* no doc: the catalog, one row per document *)
-          Ok
-            (Json.Obj
-               [
-                 ("docs",
-                  Json.Arr
-                    (List.map
-                       (fun d ->
-                         Json.Obj
-                           [
-                             ("doc", Json.Str d);
-                             ("versions", Json.int (Shard.versions corpus d));
-                             ("shard", Json.int (Shard.shard_of corpus d));
-                           ])
-                       (Shard.docs corpus)));
-                 ("versions", Json.int (Shard.total_versions corpus));
-                 ("shards", Json.int (Shard.shards corpus));
-               ]))
-  | "store/materialize" ->
-    with_store t ~budget params (fun ~exec corpus ->
+          let rows = run Verb.Catalog in
+          Json.Obj
+            [
+              ("docs",
+               Json.Arr
+                 (List.map
+                    (fun (r : Verb.catalog_row) ->
+                      Json.Obj
+                        [
+                          ("doc", Json.Str r.Verb.doc);
+                          ("versions", Json.int r.Verb.versions);
+                          ("shard", Json.int r.Verb.shard);
+                        ])
+                    rows));
+              ("versions", Json.int (Shard.total_versions corpus));
+              ("shards", Json.int (Shard.shards corpus));
+            ])
+      | "store/materialize" ->
         let version = version_param "version" params in
         let verify = Option.value ~default:true (Json.mem_bool "verify" params) in
-        (* the response honours the request's format, like the CLI's
+        (* the answer honours the request's format, like the CLI's
            [store materialize -f] *)
-        let fmt = format_of_params params in
-        answer
-          (fun tree -> Json.Obj [ ("tree", Json.Str (fmt.Doc_format.render tree)) ])
-          (Shard.materialize ~verify ~exec corpus ~doc:(doc_param params) version))
-  | "store/commit" ->
-    with_store t ~budget params (fun ~exec corpus ->
-        let gen = Treediff_tree.Tree.gen () in
-        let fmt = format_of_params params in
-        let lenient = lenient_of_params params in
-        let tree = parse_tree_param ~gen ~fmt ~lenient "tree" params in
-        let committed = Shard.commit ~exec corpus ~doc:(doc_param params) tree in
-        if Result.is_ok committed then
-          store_revalidate t (archive_param params) corpus;
-        answer entry_json committed)
-  | "store/diff" ->
-    with_store t ~budget params (fun ~exec corpus ->
+        let format = format_param params in
+        let tree = run (Verb.Materialize { doc = doc (); version; verify; format }) in
+        Json.Obj [ ("tree", Json.Str tree) ]
+      | "store/commit" ->
+        let input = input_params params in
+        let tree = source_param "tree" params in
+        let entry = run (Verb.Commit { input; doc = doc (); tree }) in
+        store_revalidate t path corpus;
+        entry_json entry
+      | _ (* "store/diff" *) ->
         let from_ = version_param "from" params in
         let to_ = version_param "to" params in
-        answer
-          (fun script -> Json.Obj [ ("script", Json.Str (Script_io.to_string script)) ])
-          (Shard.diff_between ~exec corpus ~doc:(doc_param params) ~from_ ~to_))
-  | v -> Error (Protocol.Bad_request, Printf.sprintf "unknown store verb %S" v)
+        let script = run (Verb.Compose { doc = doc (); from_; to_ }) in
+        Json.Obj [ ("script", Json.Str script) ])
 
 (* ------------------------------------------------------------ stats verb *)
 
@@ -595,22 +500,30 @@ let stats_body t ~queue_depth ~draining =
 type outcome = Payload of string | Shutdown of string
 
 let dispatch t ~queue_depth ~pressure ~draining ~deadline_ms req =
+  let params = req.Protocol.params in
   match req.Protocol.verb with
-  | "ping" ->
-    Ok (Json.Obj [ ("pong", Json.Bool true); ("draining", Json.Bool draining) ])
-  | "stats" -> Ok (stats_body t ~queue_depth ~draining)
-  | "diff" -> run_diff t ~pressure ~deadline_ms req
-  | "batch" -> run_batch t ~pressure ~deadline_ms req
-  | "check" -> run_check ~deadline_ms req
+  | "ping" -> Json.Obj [ ("pong", Json.Bool true); ("draining", Json.Bool draining) ]
+  | "stats" -> stats_body t ~queue_depth ~draining
+  | "diff" -> run_diff t ~pressure ~deadline_ms params
+  | "batch" -> run_batch t ~pressure ~deadline_ms params
+  | "check" -> run_check ~deadline_ms params
   | "store/log" | "store/materialize" | "store/commit" | "store/diff" ->
     (* the store path needs the live budget to compute its residual *)
-    let budget = Budget.make ~deadline_ms () in
-    run_store t ~budget req.Protocol.verb req
+    run_store t ~budget:(Budget.make ~deadline_ms ()) req.Protocol.verb params
   | "crash" when t.allow_crash ->
     (* Debug verb for the crash-isolation tests and bench: a handler that
        genuinely raises, exercising the isolation barrier below. *)
     failwith "injected handler crash (debug verb)"
-  | v -> Error (Protocol.Bad_request, Printf.sprintf "unknown verb %S" v)
+  | v -> reject (Printf.sprintf "unknown verb %S" v)
+
+let refuse t ~id failure =
+  let kind = Verb.error_kind failure in
+  (match kind with
+  | Protocol.Internal -> t.internal <- t.internal + 1
+  | Protocol.Deadline -> t.shed <- t.shed + 1
+  | Protocol.Bad_request -> t.bad <- t.bad + 1
+  | Protocol.Overloaded | Protocol.Shutting_down -> ());
+  Protocol.error_payload ~id kind (Verb.message failure)
 
 let handle t ~queue_depth ~pressure ~draining ~received_at req =
   let id = req.Protocol.id in
@@ -631,32 +544,16 @@ let handle t ~queue_depth ~pressure ~draining ~received_at req =
         (* The isolation barrier: nothing a verb does may take the server
            down.  Memory exhaustion is re-raised — answering would lie. *)
         match dispatch t ~queue_depth ~pressure ~draining ~deadline_ms req with
-        | Ok body ->
+        | body ->
           t.ok <- t.ok + 1;
           Protocol.ok_payload ~id body
-        | Error (kind, message) ->
-          (match kind with
-          | Protocol.Internal -> t.internal <- t.internal + 1
-          | Protocol.Deadline -> t.shed <- t.shed + 1
-          | Protocol.Bad_request -> t.bad <- t.bad + 1
-          | Protocol.Overloaded | Protocol.Shutting_down -> ());
-          Protocol.error_payload ~id kind message
-        | exception Bad_params m ->
-          t.bad <- t.bad + 1;
-          Protocol.error_payload ~id Protocol.Bad_request m
-        | exception Budget.Exceeded e ->
-          t.shed <- t.shed + 1;
-          Protocol.error_payload ~id Protocol.Deadline (Budget.describe e)
-        | exception Fault.Injected p ->
-          t.internal <- t.internal + 1;
-          Protocol.error_payload ~id Protocol.Internal ("injected fault at " ^ p)
-        | exception Diag.Failed ds ->
-          t.internal <- t.internal + 1;
-          Protocol.error_payload ~id Protocol.Internal (Diag.summary ds)
+        | exception Rejected failure -> refuse t ~id failure
         | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
         | exception e ->
-          t.internal <- t.internal + 1;
-          Protocol.error_payload ~id Protocol.Internal (Printexc.to_string e)
+          refuse t ~id
+            (match Verb.failure_of_exn e with
+            | Some failure -> failure
+            | None -> Verb.Internal (Printexc.to_string e))
       end
     in
     Payload payload

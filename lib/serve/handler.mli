@@ -1,28 +1,26 @@
-(** Request execution for the daemon: verbs, deadlines, pressure policy,
-    result cache and the crash-isolation barrier.
+(** The daemon's request policy around the shared verbs.
 
-    One {!t} lives for the lifetime of a server and is single-owner: only
-    the accept-loop domain calls {!handle}.  Each request runs in its own
-    fresh {!Treediff_util.Exec} context whose {!Treediff_util.Budget}
-    deadline is the client's requested allowance (capped by the server's
-    [max_deadline_ms]) {e minus} the time the request already spent queued
-    — admission time counts against the client's deadline, so a request
-    that waited too long is shed with a typed [deadline] answer instead of
-    being started hopelessly late.
+    Every verb the CLI also has — [diff], [batch], [check], [store/*] — is
+    decoded from its JSON params into a {!Verb} request, run there, and its
+    typed answer encoded back as JSON; a {!Verb.failure} becomes the typed
+    error its {!Verb.error_kind} names.  What stays here is daemon policy:
 
-    {b Pressure.}  The server translates its queue depth into a
-    {!pressure} level; under [Forced_approx] the diff pipeline is pinned to
-    the cheap greedy-SimHash rung, under [Flat_only] structural diffing is
-    skipped entirely in favour of the flat line diff.  Both degrade
-    service {e before} rejecting it — only a queue beyond [max_queue]
-    yields [overloaded] (and that decision is the server's, not this
-    module's).
+    - {b Deadlines.}  Each request runs in a fresh {!Treediff_util.Exec}
+      whose budget is the client's allowance (capped by [max_deadline_ms])
+      minus the time it already spent queued, so a request that waited too
+      long is shed with a typed [deadline] answer instead of started late.
+    - {b Pressure.}  Under [Forced_approx] a diff runs the approx matcher;
+      under [Flat_only] it is answered with a flat line diff.  Both degrade
+      service before the server rejects it as [overloaded].
+    - {b Caches.}  Full-quality diff answers are cached under
+      {!Verb.diff_key}; open archive handles are kept warm between store
+      requests.
+    - {b Isolation.}  {!handle} never raises (except [Out_of_memory] and
+      [Stack_overflow]): any exception escaping a verb becomes a typed
+      [internal] answer and the caller keeps serving.
 
-    {b Isolation.}  {!handle} never raises (except asymptotic
-    [Out_of_memory]/[Stack_overflow], which must not be swallowed): any
-    exception escaping a verb — injected fault, internal diagnostic,
-    programming error — becomes a typed [internal] error response and the
-    caller keeps serving. *)
+    One {!t} lives as long as its server and is single-owner: only the
+    accept-loop domain calls {!handle}. *)
 
 type pressure = Full | Forced_approx | Flat_only
 

@@ -1,3 +1,4 @@
-(* The daemon's frame codec is the repository's one JSON codec; this alias
-   keeps the [Treediff_serve.Json] name working for existing callers. *)
+(* The daemon's frame codec is the repository's one JSON codec,
+   [Treediff_util.Json].  This alias is kept only for the benchmark
+   harness, which still names [Treediff_serve.Json]. *)
 include Treediff_util.Json

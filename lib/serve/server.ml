@@ -194,6 +194,11 @@ let handle_accept st fd =
     match Fault.point st.faults "serve.accept" with
     | () ->
       Unix.set_nonblock cfd;
+      (* Answers are small frames written as soon as they exist; Nagle's
+         algorithm would hold one back until the client's delayed ACK for
+         the previous segment.  A socket that refuses the option is still
+         served. *)
+      (try Unix.setsockopt cfd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
       st.conns <-
         { fd = cfd; framer = Protocol.Framer.create (); out = Buffer.create 512;
           out_pos = 0; closing = false; closed = false }

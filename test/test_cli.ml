@@ -175,6 +175,70 @@ let test_check_delta_roundtrip () =
   Alcotest.(check bool) "wrong delta exits nonzero" true (code <> 0);
   Alcotest.(check bool) "TD405 reported" true (contains ~sub:"TD405" out)
 
+(* ----------------------------------------------------------------- batch *)
+
+(* `treediff batch` runs each pair through the same diff as `treediff
+   diff`: the §7 word-LCS leaf compare, so a one-word rewording is one UPD
+   rather than a rebuilt subtree.  For every example pair, in its own
+   format, and for such a rewording, [STEM.script] from `batch -o` is
+   exactly what `diff` prints. *)
+let test_batch_matches_diff () =
+  let pairs_dir = Filename.concat (Filename.dirname Sys.executable_name) "../examples/pairs" in
+  let format_of ext =
+    match ext with ".md" -> "markdown" | ".tex" -> "latex" | e -> String.sub e 1 (String.length e - 1)
+  in
+  let examples =
+    Sys.readdir pairs_dir |> Array.to_list
+    |> List.filter (fun n -> contains ~sub:".old." n)
+    |> List.sort compare
+    |> List.map (fun name ->
+           let ext = Filename.extension name in
+           let stem = Filename.chop_suffix name (".old" ^ ext) in
+           ( stem,
+             ext,
+             read_file (Filename.concat pairs_dir name),
+             read_file (Filename.concat pairs_dir (stem ^ ".new" ^ ext)) ))
+  in
+  let reworded =
+    ( "reworded",
+      ".sexp",
+      {|(D (P (S "the quick brown fox jumps over the lazy dog")) (P (S "a second paragraph stays")))|},
+      {|(D (P (S "the quick brown cat jumps over the lazy dog")) (P (S "a second paragraph stays")))|}
+    )
+  in
+  Alcotest.(check bool) "example pairs found" true (examples <> []);
+  List.iter
+    (fun (stem, ext, old_src, new_src) ->
+      let dir = Filename.temp_file "treediff_batch" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o700;
+      let write name src =
+        let path = Filename.concat dir name in
+        let oc = open_out_bin path in
+        output_string oc src;
+        close_out oc;
+        path
+      in
+      let o = write (stem ^ ".old" ^ ext) old_src in
+      let n = write (stem ^ ".new" ^ ext) new_src in
+      let out = dir ^ ".out" in
+      let fmt = format_of ext in
+      let code, want =
+        run (Printf.sprintf "%s diff -f %s %s %s" (bin "treediff_cli") fmt o n)
+      in
+      Alcotest.(check int) (stem ^ " diff exit 0") 0 code;
+      let code, _ =
+        run (Printf.sprintf "%s batch -f %s -o %s %s" (bin "treediff_cli") fmt out dir)
+      in
+      Alcotest.(check int) (stem ^ " batch exit 0") 0 code;
+      Alcotest.(check string) (stem ^ " batch script = diff stdout") want
+        (read_file (Filename.concat out (stem ^ ".script")));
+      if stem = "reworded" then
+        Alcotest.(check string) "a one-word rewording is one update"
+          "UPD(1,\"the quick brown cat jumps over the lazy dog\")\n" want;
+      ignore (Sys.command (Printf.sprintf "rm -rf %s %s" (Filename.quote dir) (Filename.quote out))))
+    (examples @ [ reworded ])
+
 (* ------------------------------------------------------------ exit codes *)
 
 (* 0 = success, 2 = parse error, 3 = budget exceeded (degraded output was
@@ -258,6 +322,8 @@ let () =
           Alcotest.test_case "diff/apply round-trip" `Quick test_treediff_roundtrip_sexp;
           Alcotest.test_case "xml input" `Quick test_treediff_xml;
           Alcotest.test_case "zhang-shasha flag" `Quick test_treediff_zs_flag;
+          Alcotest.test_case "batch scripts equal diff output" `Quick
+            test_batch_matches_diff;
         ] );
       ( "check",
         [

@@ -20,7 +20,7 @@ module Format = Treediff_doc.Format
 module Tree = Treediff_tree.Tree
 module Node = Treediff_tree.Node
 module Shard = Treediff_store.Shard
-module Json = Treediff_serve.Json
+module Json = Treediff_util.Json
 module Protocol = Treediff_serve.Protocol
 module Handler = Treediff_serve.Handler
 module Prng = Treediff_util.Prng
@@ -584,11 +584,17 @@ let test_serve_render_modes () =
   Alcotest.(check bool) "serve summary nonempty" true
     (String.length (String.trim (diff "summary")) > 0)
 
-(* One renderer serves both entry points, so [treediff diff -m stats] and
-   the daemon's [mode: "stats"] answer print the same bytes for every
-   example pair (the comparison counters included). *)
-let test_stats_parity () =
-  let h = Handler.create () in
+(* ------------------------------------------------- CLI / daemon parity *)
+
+(* Both front ends run the shared verbs through one executor
+   (Treediff_serve.Verb), so for every example pair, in its own format,
+   [treediff VERB …]'s stdout and the daemon's answer carry the same text.
+   One table row per verb (and per diff output mode); each row turns one
+   pair into (what, CLI text, daemon text) triples. *)
+
+type example = { stem : string; fmt : Format.t; old_path : string; new_path : string }
+
+let examples () =
   let dir = Filename.dirname (fixture "x") in
   let olds =
     Sys.readdir dir |> Array.to_list
@@ -596,7 +602,7 @@ let test_stats_parity () =
     |> List.sort compare
   in
   Alcotest.(check bool) "example pairs found" true (olds <> []);
-  List.iter
+  List.map
     (fun name ->
       let ext = Filename.extension name in
       let stem = Filename.chop_suffix name (".old" ^ ext) in
@@ -606,29 +612,217 @@ let test_stats_parity () =
         | ".tex" -> Format.latex
         | e -> Format.find_exn (String.sub e 1 (String.length e - 1))
       in
-      let o = Filename.concat dir name
-      and n = Filename.concat dir (stem ^ ".new" ^ ext) in
-      let code, cli =
-        run (Printf.sprintf "%s diff -f %s -m stats %s %s" (bin "treediff_cli")
-               fmt.Format.name o n)
-      in
-      Alcotest.(check int) (name ^ " CLI exit 0") 0 code;
-      let body =
-        ok_body
-          (handle h
-             (req "diff"
-                (Json.Obj
-                   [
-                     ("old", Json.Str (read_file o));
-                     ("new", Json.Str (read_file n));
-                     ("format", Json.Str fmt.Format.name);
-                     ("mode", Json.Str "stats");
-                   ])))
-      in
-      match Json.mem_str "output" body with
-      | Some out -> Alcotest.(check string) (name ^ " stats parity") cli out
-      | None -> Alcotest.failf "%s: no output member" name)
+      {
+        stem;
+        fmt;
+        old_path = Filename.concat dir name;
+        new_path = Filename.concat dir (stem ^ ".new" ^ ext);
+      })
     olds
+
+let cli fmt args =
+  let code, out =
+    run (Printf.sprintf "%s %s -f %s" (bin "treediff_cli") args fmt.Format.name)
+  in
+  (code, out)
+
+let cli_ok what fmt args =
+  let code, out = cli fmt args in
+  Alcotest.(check int) (what ^ " CLI exit 0") 0 code;
+  out
+
+let daemon h verb fields = ok_body (handle h (req verb (Json.Obj fields)))
+
+let pair_fields e =
+  [
+    ("old", Json.Str (read_file e.old_path));
+    ("new", Json.Str (read_file e.new_path));
+    ("format", Json.Str e.fmt.Format.name);
+  ]
+
+let member_str what key body =
+  match Json.mem_str key body with
+  | Some s -> s
+  | None -> Alcotest.failf "%s: no %S member" what key
+
+let diff_row ~cli_flag mode h e =
+  let cli = cli_ok e.stem e.fmt (Printf.sprintf "diff %s %s %s" cli_flag e.old_path e.new_path) in
+  let body = daemon h "diff" (pair_fields e @ [ ("mode", Json.Str mode) ]) in
+  [ (mode, cli, member_str e.stem "output" body) ]
+
+let batch_row h e =
+  let manifest = tmp_file (Printf.sprintf "%s %s\n" e.old_path e.new_path) in
+  let dir = Filename.temp_file "treediff_fmt" ".batch" in
+  Sys.remove dir;
+  ignore (cli_ok e.stem e.fmt (Printf.sprintf "batch -m script -o %s %s" dir manifest));
+  let cli = read_file (Filename.concat dir "pair-000.script") in
+  Sys.remove manifest;
+  rm_rf dir;
+  let body =
+    daemon h "batch"
+      [
+        ("pairs",
+         Json.Arr
+           [
+             Json.Obj
+               [
+                 ("old", Json.Str (read_file e.old_path));
+                 ("new", Json.Str (read_file e.new_path));
+               ];
+           ]);
+        ("format", Json.Str e.fmt.Format.name);
+      ]
+  in
+  let output =
+    match Option.bind (Json.member "results" body) Json.arr with
+    | Some [ r ] -> member_str e.stem "output" r
+    | _ -> Alcotest.failf "%s: batch answer without one result" e.stem
+  in
+  [ ("batch script", cli, output) ]
+
+(* the CLI prints the daemon's diagnostics one per line, then the summary *)
+let check_text body =
+  let diags =
+    match Option.bind (Json.member "diagnostics" body) Json.arr with
+    | Some l -> List.filter_map (function Json.Str s -> Some (s ^ "\n") | _ -> None) l
+    | None -> []
+  in
+  String.concat "" diags ^ member_str "check" "summary" body ^ "\n"
+
+let check_row h e =
+  let self = cli_ok e.stem e.fmt (Printf.sprintf "check %s %s" e.old_path e.new_path) in
+  let script = tmp_file (cli_ok e.stem e.fmt (Printf.sprintf "diff %s %s" e.old_path e.new_path)) in
+  let code, stored =
+    cli e.fmt (Printf.sprintf "check --script %s %s %s" script e.old_path e.new_path)
+  in
+  let daemon_self = daemon h "check" (pair_fields e) in
+  let daemon_stored =
+    daemon h "check" (pair_fields e @ [ ("script", Json.Str (read_file script)) ])
+  in
+  Sys.remove script;
+  Alcotest.(check int) (e.stem ^ " check --script exit")
+    (if Json.mem_num "errors" daemon_stored = Some 0. then 0 else 1)
+    code;
+  [
+    ("check", self, check_text daemon_self);
+    (* the script label differs by design: a file path vs "script" *)
+    ("check --script", stored, check_text daemon_stored);
+  ]
+
+(* Each front end commits the pair into its own archive, then reads it
+   back: the CLI's tables carry the daemon's fields. *)
+let store_row h e =
+  let t = bin "treediff_cli" in
+  let fresh () =
+    let a = Filename.temp_file "treediff_fmt" ".arch" in
+    Sys.remove a;
+    a
+  in
+  let ca = fresh () and da = fresh () in
+  Alcotest.(check int) "store init" 0 (fst (run (Printf.sprintf "%s store init %s" t ca)));
+  ignore (ok_or_fail "init" (Shard.init ~shards:1 da));
+  let entry_line body =
+    let num k = int_of_float (Option.get (Json.mem_num k body)) in
+    Printf.sprintf "committed version %d (%s, %d ops, %d bytes)\n" (num "version")
+      (member_str "commit" "kind" body) (num "ops") (num "bytes")
+  in
+  let commits =
+    List.map
+      (fun path ->
+        let cli = cli_ok "commit" e.fmt (Printf.sprintf "store commit %s %s --doc d" ca path) in
+        let body =
+          daemon h "store/commit"
+            [
+              ("archive", Json.Str da);
+              ("doc", Json.Str "d");
+              ("tree", Json.Str (read_file path));
+              ("format", Json.Str e.fmt.Format.name);
+            ]
+        in
+        ("store commit", cli, entry_line body))
+      [ e.old_path; e.new_path ]
+  in
+  let at = [ ("archive", Json.Str da); ("doc", Json.Str "d") ] in
+  (* log --doc: version, kind, ops, bytes and hash of each entry *)
+  let cli_log =
+    run (Printf.sprintf "%s store log %s --doc d" t ca) |> snd
+    |> String.split_on_char '\n' |> List.tl
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+           | [ v; k; o; b; _next_id; h ] -> String.concat " " [ v; k; o; b; h ]
+           | _ -> Alcotest.failf "log line %S" l)
+    |> String.concat "\n"
+  in
+  let daemon_log =
+    match Option.bind (Json.member "entries" (daemon h "store/log" at)) Json.arr with
+    | Some l ->
+      List.map
+        (fun en ->
+          let num k = string_of_int (int_of_float (Option.get (Json.mem_num k en))) in
+          String.concat " "
+            [ num "version"; member_str "log" "kind" en; num "ops"; num "bytes";
+              member_str "log" "hash" en ])
+        l
+      |> String.concat "\n"
+    | None -> Alcotest.fail "log without entries"
+  in
+  let materialized =
+    List.map
+      (fun v ->
+        let cli =
+          cli_ok "materialize" e.fmt
+            (Printf.sprintf "store materialize %s %d --doc d --verify" ca v)
+        in
+        let body =
+          daemon h "store/materialize"
+            (at @ [ ("version", Json.int v); ("format", Json.Str e.fmt.Format.name) ])
+        in
+        (Printf.sprintf "store materialize %d" v, cli, member_str "tree" "tree" body))
+      [ 0; 1 ]
+  in
+  (* a dummy-rooted delta is not composable: both refuse, or both answer *)
+  let composed =
+    let code, cli = run (Printf.sprintf "%s store diff %s --doc d --from 0 --to 1" t ca) in
+    match
+      handle h
+        (req "store/diff"
+           (Json.Obj (at @ [ ("from", Json.int 0); ("to", Json.int 1) ])))
+    with
+    | Ok (_, Protocol.Ok_resp body) ->
+      Alcotest.(check int) (e.stem ^ " store diff exit 0") 0 code;
+      [ ("store diff", cli, member_str "diff" "script" body) ]
+    | _ ->
+      Alcotest.(check int) (e.stem ^ " store diff refused") 1 code;
+      []
+  in
+  rm_rf ca;
+  rm_rf da;
+  commits @ [ ("store log --doc", cli_log, daemon_log) ] @ materialized @ composed
+
+let parity_table =
+  [
+    ("script mode, CLI and daemon", diff_row ~cli_flag:"-m script" "script");
+    ("delta mode, CLI and daemon", diff_row ~cli_flag:"-m delta" "delta");
+    ("stats mode, CLI and daemon", diff_row ~cli_flag:"-m stats" "stats");
+    ("side-by-side mode, CLI and daemon",
+     diff_row ~cli_flag:"--render side-by-side" "side-by-side");
+    ("summary mode, CLI and daemon", diff_row ~cli_flag:"--render summary" "summary");
+    ("batch, CLI and daemon", batch_row);
+    ("check, CLI and daemon", check_row);
+    ("store verbs, CLI and daemon", store_row);
+  ]
+
+let parity_case (name, row) =
+  Alcotest.test_case name `Quick (fun () ->
+      let h = Handler.create () in
+      List.iter
+        (fun e ->
+          List.iter
+            (fun (what, cli, daemon) ->
+              Alcotest.(check string) (Printf.sprintf "%s %s parity" e.stem what) cli daemon)
+            (row h e))
+        (examples ()))
 
 (* The fixture walkthrough the README documents: markdown summary names the
    moved section, json check verifies. *)
@@ -683,7 +877,7 @@ let () =
           Alcotest.test_case "render modes via CLI" `Quick test_cli_render_modes;
           Alcotest.test_case "render modes via daemon" `Quick
             test_serve_render_modes;
-          Alcotest.test_case "stats mode, CLI and daemon" `Quick test_stats_parity;
           Alcotest.test_case "fixture walkthrough" `Quick test_fixture_walkthrough;
-        ] );
+        ]
+        @ List.map parity_case parity_table );
     ]

@@ -10,7 +10,7 @@
 module Budget = Treediff_util.Budget
 module Fault = Treediff_util.Fault
 module Prng = Treediff_util.Prng
-module Json = Treediff_serve.Json
+module Json = Treediff_util.Json
 module Protocol = Treediff_serve.Protocol
 module Cache = Treediff_serve.Cache
 module Handler = Treediff_serve.Handler
@@ -170,6 +170,11 @@ let test_cache_disabled () =
 
 (* --------------------------------------------------------------- handler *)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let req ?(id = 1) verb params = { Protocol.id; verb; params }
 
 let diff_params ?deadline_ms () =
@@ -300,12 +305,106 @@ let test_handler_cache_fault_absorbed () =
     (Option.value ~default:true (Json.mem_bool "cached" body2));
   Alcotest.(check int) "no cache hits" 0 (Handler.cache_hits h)
 
-(* -------------------------------------------------- store handle cache *)
+(* The daemon's batch verb parses each pair OLD before NEW, exactly as its
+   diff verb does, so every result is the diff verb's answer for that pair,
+   and every script names OLD's node ids: `treediff apply OLD` replays it
+   to a tree isomorphic to NEW.  (A script whose roots went unmatched
+   inserts under a dummy root no file has, so only [Diff.apply] can replay
+   it; those pairs check the output equality alone.)  One request per
+   format, over the example pairs (plus a one-word rewording). *)
+let test_handler_batch_matches_diff () =
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "../examples/pairs" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let format_of ext =
+    match ext with ".md" -> "markdown" | ".tex" -> "latex" | e -> String.sub e 1 (String.length e - 1)
+  in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> contains n ".old.")
+    |> List.sort compare
+    |> List.map (fun name ->
+           let ext = Filename.extension name in
+           let stem = Filename.chop_suffix name (".old" ^ ext) in
+           ( format_of ext,
+             read (Filename.concat dir name),
+             read (Filename.concat dir (stem ^ ".new" ^ ext)) ))
+  in
+  let reworded =
+    ( "sexp",
+      {|(D (P (S "the quick brown fox jumps over the lazy dog")) (P (S "kept")))|},
+      {|(D (P (S "the quick brown cat jumps over the lazy dog")) (P (S "kept")))|} )
+  in
+  let pairs = examples @ [ reworded ] in
+  let formats = List.sort_uniq compare (List.map (fun (f, _, _) -> f) pairs) in
+  let h = Handler.create () in
+  let replayed_count = ref 0 in
+  List.iter
+    (fun fmt ->
+      let group = List.filter (fun (f, _, _) -> f = fmt) pairs in
+      let fields o n = [ ("old", Json.Str o); ("new", Json.Str n) ] in
+      let body =
+        ok_body
+          (handle h
+             (req "batch"
+                (Json.Obj
+                   [
+                     ("pairs",
+                      Json.Arr (List.map (fun (_, o, n) -> Json.Obj (fields o n)) group));
+                     ("format", Json.Str fmt);
+                   ])))
+      in
+      let results =
+        match Option.bind (Json.member "results" body) Json.arr with
+        | Some l -> l
+        | None -> Alcotest.fail "batch answer without results"
+      in
+      Alcotest.(check int) (fmt ^ " one result per pair") (List.length group)
+        (List.length results);
+      List.iteri
+        (fun i ((_, o, n), result) ->
+          let what = Printf.sprintf "%s pairs[%d]" fmt i in
+          let script = Option.get (Json.mem_str "output" result) in
+          let diffed =
+            ok_body
+              (handle h
+                 (req "diff" (Json.Obj (fields o n @ [ ("format", Json.Str fmt) ]))))
+          in
+          Alcotest.(check (option string)) (what ^ " output = diff output")
+            (Json.mem_str "output" diffed) (Some script);
+          let format = Treediff_doc.Format.find_exn fmt in
+          let dummy_rooted =
+            let gen = Treediff_tree.Tree.gen () in
+            let t1 = Treediff_doc.Format.parse format gen o in
+            let t2 = Treediff_doc.Format.parse format gen n in
+            (Treediff.Diff.diff ~config:Treediff_doc.Doc_tree.config t1 t2).Treediff.Diff.dummy
+            <> None
+          in
+          if not dummy_rooted then begin
+          incr replayed_count;
+          let write s =
+            let p = Filename.temp_file "treediff_batch" "" in
+            Out_channel.with_open_bin p (fun oc -> output_string oc s);
+            p
+          in
+          let old_file = write o and script_file = write script in
+          let replayed = Filename.temp_file "treediff_batch" ".out" in
+          let code =
+            Sys.command
+              (Printf.sprintf "%s apply -f %s %s %s -o %s 2>/dev/null" (bin "treediff_cli")
+                 fmt old_file script_file replayed)
+          in
+          Alcotest.(check int) (what ^ " apply OLD SCRIPT exit 0") 0 code;
+          let parse src = Treediff_doc.Format.parse format (Treediff_tree.Tree.gen ()) src in
+          Alcotest.(check bool) (what ^ " replay is isomorphic to NEW") true
+            (Treediff_tree.Iso.equal (parse (read replayed)) (parse n));
+          List.iter Sys.remove [ old_file; script_file; replayed ]
+          end)
+        (List.combine group results))
+    formats;
+  Alcotest.(check bool) "at least half the scripts were replayed" true
+    (2 * !replayed_count >= List.length pairs)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
+(* -------------------------------------------------- store handle cache *)
 
 
 module Shard = Treediff_store.Shard
@@ -1000,6 +1099,8 @@ let () =
             quick "crash isolation" test_handler_crash_isolation;
             quick "bad requests are typed" test_handler_bad_requests;
             quick "cache fault absorbed" test_handler_cache_fault_absorbed;
+            quick "batch: each result is the diff answer, replayable"
+              test_handler_batch_matches_diff;
             quick "store handle cache: warm, revalidated, never stale"
               test_store_handle_cache;
             quick "store verbs on a corpus (doc param)" test_store_corpus_verbs;

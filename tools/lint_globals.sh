@@ -79,5 +79,22 @@ if [ -n "$bad" ]; then
   status=1
 fi
 
+# @lint one-verb-layer
+# The verbs treediff and the daemon share (diff, batch, check and the store
+# verbs) run through one typed executor, Treediff_serve.Verb
+# (lib/serve/verb.ml): it alone builds the diff configuration, resolves
+# output modes and runs batches.  When the front ends built their own, the
+# copies drifted (batch diffed with the wrong leaf compare; the daemon's
+# batch parsed NEW before OLD), so the front ends may not do it again.
+bad=$(grep -n -H -E \
+        'Criteria\.make|Config\.with_criteria|Doc_tree\.config_with|Render_diff\.mode_of_name|Batch\.run' \
+        "$root/bin/treediff_cli.ml" "$root/lib/serve/handler.ml" || true)
+bad=$(filter_allowed "$bad")
+if [ -n "$bad" ]; then
+  echo 'lint_globals: diff config, output mode or batch built outside lib/serve/verb.ml (go through Treediff_serve.Verb):' >&2
+  printf '%s\n' "$bad" >&2
+  status=1
+fi
+
 if [ "$status" -ne 0 ]; then exit "$status"; fi
 echo 'lint_globals: ok'
