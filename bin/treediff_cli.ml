@@ -101,9 +101,9 @@ let output_mode ~render mode =
     | None -> ("mode", mode, Render_diff.[ Script; Delta; Stats ])
     | Some kind -> ("rendering", kind, Render_diff.[ Side_by_side; Summary ])
   in
-  match Verb.mode_of_name name with
-  | Ok m when List.mem m allowed -> Ok m
-  | Ok _ | Error _ ->
+  match List.find_opt (fun m -> Render_diff.mode_name m = name) allowed with
+  | Some m -> Ok m
+  | None ->
     Error
       (Verb.Bad_input
          (Printf.sprintf "unknown %s %S (%s)" what name
@@ -160,13 +160,13 @@ let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
         sim_top_k;
       }
     in
-    let mode = or_die (output_mode ~render mode) in
-    match Verb.diff ?exec { Verb.input; settings; mode } (t1, t2) with
-    | Ok { Verb.result; output = text } -> (
+    let req = { Verb.input; settings; mode = or_die (output_mode ~render mode) } in
+    match Verb.diff ?exec req (t1, t2) with
+    | Ok result -> (
       (match Treediff.Diff.check result ~t1 ~t2 with
       | Ok () -> ()
       | Error e -> die (Verb.Internal ("internal check failed: " ^ e)));
-      write_out output text;
+      write_out output (Verb.render req result);
       match result.Treediff.Diff.degraded with
       | None -> ()
       | Some rung ->
@@ -456,13 +456,14 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
     | Some e -> e
     | None -> Treediff_util.Exec.create ()
   in
-  let batched = or_die (Verb.batch ~execs ?jobs req pairs) in
+  let outcomes = or_die (Verb.batch ~execs ?jobs req pairs) in
   (match out_dir with
   | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
   | _ -> ());
+  (* renders only when there is a directory to write the text to *)
   let save item ext text =
     Option.iter
-      (fun dir -> write_out (Some (Filename.concat dir (item.b_stem ^ "." ^ ext))) text)
+      (fun dir -> write_out (Some (Filename.concat dir (item.b_stem ^ "." ^ ext))) (text ()))
       out_dir
   in
   let next = ref 0 and severity = ref 0 in
@@ -475,10 +476,10 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
           exit_parse_error
         | Ok _ -> (
           incr next;
-          match batched.Verb.items.(!next - 1) with
-          | Ok { Verb.result = { Treediff.Diff.measure = m; degraded; _ }; output } ->
+          match outcomes.(!next - 1) with
+          | Ok ({ Treediff.Diff.measure = m; degraded; _ } as result) ->
             let ops = Treediff_edit.Script.unweighted m in
-            save item mode output;
+            save item mode (fun () -> Verb.render req result);
             (match degraded with
             | None ->
               Printf.printf "ok           %s (%d ops, cost %.2f)\n" item.b_name ops
@@ -491,13 +492,16 @@ let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
           | Error (f : Treediff.Diff.failure) ->
             Printf.printf "failed       %s: %s\n" item.b_name
               (match f.Treediff.Diff.attempts with (_, r) :: _ -> r | [] -> "unknown");
-            save item "flat" (Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat);
+            save item "flat" (fun () ->
+                Treediff_textdiff.Line_diff.render f.Treediff.Diff.flat);
             exit_internal)
       in
       severity := max !severity code)
     items parsed;
   Printf.eprintf "treediff: batch: %d pairs (%d parsed), %d degraded, %d failed\n"
-    (List.length items) (Array.length pairs) batched.Verb.degraded batched.Verb.failed;
+    (List.length items) (Array.length pairs)
+    (Treediff.Batch.degraded_count outcomes)
+    (Treediff.Batch.failed_count outcomes);
   if !severity > 0 then exit !severity
 
 let batch_input =
@@ -560,7 +564,7 @@ let run_check old_file new_file format lenient script_file delta_file audit
   let { Verb.diags; oracle } =
     or_die
       (Verb.check ~warn:(warn_for format)
-         { Verb.input = { Verb.format; lenient }; settings = Verb.default_settings; artifact }
+         { Verb.input = { Verb.format; lenient }; artifact }
          (sources old_file new_file))
   in
   let buf = Buffer.create 256 in
@@ -642,10 +646,6 @@ let open_corpus dir =
       dir (List.length aborted));
   corpus
 
-(* The store verbs the daemon shares run through {!Verb.store}. *)
-let run_store ?exec ?warn archive verb =
-  or_die (Verb.store ?exec ?warn (open_corpus archive) verb)
-
 let policy_string ~interval ~max_replay_ops =
   match (interval, max_replay_ops) with
   | 0, 0 -> "checkpoints disabled"
@@ -665,10 +665,12 @@ let run_store_init archive interval max_replay_ops shards =
 
 let run_store_commit archive tree_file format lenient doc =
   handle_errors @@ fun () ->
-  let entry =
-    run_store ~warn:(warn_for format) archive
-      (Verb.Commit { input = { Verb.format; lenient }; doc; tree = source tree_file })
+  let tree =
+    or_die
+      (Verb.parse ~warn:(warn_for format) { Verb.format; lenient }
+         (Treediff_tree.Tree.gen ()) (source tree_file))
   in
+  let entry = ok_or_die (Shard.commit (open_corpus archive) ~doc tree) in
   Printf.printf "committed version %d (%s, %d ops, %d bytes)\n"
     entry.Shard.version
     (Chain.kind_name entry.Shard.kind)
@@ -686,17 +688,19 @@ let print_entries entries =
 
 let run_store_log archive doc =
   handle_errors @@ fun () ->
+  let corpus = open_corpus archive in
   match doc with
-  | Some doc -> print_entries (run_store archive (Verb.Log { doc }))
+  | Some doc -> print_entries (ok_or_die (Shard.log corpus doc))
   | None ->
     Printf.printf "%-24s %8s %5s  %s\n" "document" "versions" "shard" "head hash";
     List.iter
-      (fun (r : Verb.catalog_row) ->
-        Printf.printf "%-24s %8d %5d  %s\n" r.Verb.doc r.Verb.versions r.Verb.shard
-          (match r.Verb.head with
+      (fun d ->
+        Printf.printf "%-24s %8d %5d  %s\n" d (Shard.versions corpus d)
+          (Shard.shard_of corpus d)
+          (match Shard.head_hash corpus d with
           | Some h -> Printf.sprintf "%016Lx" h
           | None -> "-"))
-      (run_store archive Verb.Catalog)
+      (Shard.docs corpus)
 
 let run_store_show archive version output doc =
   handle_errors @@ fun () ->
@@ -730,12 +734,13 @@ let run_store_show archive version output doc =
 let run_store_materialize archive version verify budget_ms format output doc =
   handle_errors @@ fun () ->
   let exec = make_exec budget_ms None None in
-  write_out output
-    (run_store ?exec archive (Verb.Materialize { doc; version; verify; format }))
+  let tree = ok_or_die (Shard.materialize ~verify ?exec (open_corpus archive) ~doc version) in
+  write_out output (format.Doc_format.render tree)
 
 let run_store_diff archive from_ to_ output doc =
   handle_errors @@ fun () ->
-  write_out output (run_store archive (Verb.Compose { doc; from_; to_ }))
+  let script = ok_or_die (Shard.diff_between (open_corpus archive) ~doc ~from_ ~to_) in
+  write_out output (Treediff_edit.Script_io.to_string script)
 
 let run_store_gc archive prune_before doc jobs =
   handle_errors @@ fun () ->

@@ -13,11 +13,6 @@ module Doc_format = Treediff_doc.Format
 
 type pressure = Full | Forced_approx | Flat_only
 
-let pressure_name = function
-  | Full -> "full"
-  | Forced_approx -> "approx"
-  | Flat_only -> "flat"
-
 (* An open archive handle kept warm between store requests: replaying a
    large archive's manifest per request is the dominant cost of the store
    verbs.  The fingerprint is the identity+mtime+size of the MANIFEST,
@@ -67,13 +62,9 @@ let create ?(default_deadline_ms = 1000.) ?(max_deadline_ms = 5000.)
     store_misses = 0;
   }
 
-let served t = t.served
-let ok_count t = t.ok
-let degraded_count t = t.degraded
 let internal_count t = t.internal
 let shed_count t = t.shed
 let cache_hits t = Cache.hits t.cache
-let cache t = t.cache
 let store_handle_hits t = t.store_hits
 let store_handle_misses t = t.store_misses
 
@@ -131,8 +122,9 @@ let cache_put t key value =
 
 (* ------------------------------------------------------------- requests *)
 
-(* JSON -> typed request.  Every verb below decodes its params into a
-   {!Verb} request and runs it there, so parsing, the diff configuration,
+(* JSON -> typed request.  The diff, batch and check verbs decode their
+   params into a {!Verb} request and run it there, and the store verbs
+   parse through {!Verb.parse}, so parsing, the diff configuration,
    rendering and failure classification are the CLI's own code.  A request
    the daemon refuses raises [Rejected]; the barrier in {!handle} answers
    it.  Params are decoded with explicit [let]s, in order: OCaml evaluates
@@ -235,9 +227,8 @@ let run_diff t ~pressure ~deadline_ms params =
     match cache_find t key with
     | Some output -> answer ~output ~degraded:Json.Null ~forced ~cached:true ()
     | None ->
-      let { Verb.result; output } =
-        accept (Verb.diff ~exec:(budget_exec deadline_ms) req pair)
-      in
+      let result = accept (Verb.diff ~exec:(budget_exec deadline_ms) req pair) in
+      let output = Verb.render req result in
       if cacheable result then cache_put t key output;
       if result.Diff.degraded <> None || pressure = Forced_approx then
         t.degraded <- t.degraded + 1;
@@ -278,30 +269,31 @@ let run_batch t ~pressure ~deadline_ms params =
   (* Every pair runs in its own context under the request's residual
      allowance: the whole batch is one admitted unit, so one deadline
      bounds each member rather than being re-granted per pair. *)
-  let batched =
+  let outcomes =
     accept (Verb.batch ~execs:(fun _ -> budget_exec deadline_ms) ?jobs req trees)
   in
   let results =
-    Array.to_list batched.Verb.items
+    Array.to_list outcomes
     |> List.map (function
-         | Ok { Verb.result = r; output } ->
+         | Ok (r : Diff.t) ->
            Json.Obj
              ([
                 ("status", Json.Str (if r.Diff.degraded = None then "ok" else "degraded"));
                 ("ops", Json.int (Script.unweighted r.Diff.measure));
-                ("output", Json.Str output);
+                ("output", Json.Str (Verb.render req r));
               ]
              @ match rung_json r with Json.Null -> [] | rung -> [ ("rung", rung) ])
          | Error (f : Diff.failure) ->
            let reason = match f.Diff.attempts with (_, r) :: _ -> r | [] -> "unknown" in
            Json.Obj [ ("status", Json.Str "failed"); ("reason", Json.Str reason) ])
   in
-  if batched.Verb.degraded > 0 then t.degraded <- t.degraded + 1;
+  let degraded = Treediff.Batch.degraded_count outcomes in
+  if degraded > 0 then t.degraded <- t.degraded + 1;
   Json.Obj
     [
       ("pairs", Json.int (Array.length pairs));
-      ("degraded", Json.int batched.Verb.degraded);
-      ("failed", Json.int batched.Verb.failed);
+      ("degraded", Json.int degraded);
+      ("failed", Json.int (Treediff.Batch.failed_count outcomes));
       ("results", Json.Arr results);
     ]
 
@@ -317,9 +309,7 @@ let run_check ~deadline_ms params =
   in
   let { Verb.diags; oracle = _ } =
     accept
-      (Verb.check ~exec:(budget_exec deadline_ms)
-         { Verb.input; settings = Verb.default_settings; artifact }
-         sources)
+      (Verb.check ~exec:(budget_exec deadline_ms) { Verb.input; artifact } sources)
   in
   Json.Obj
     [
@@ -407,13 +397,13 @@ let entry_json (e : Shard.entry) =
 let run_store t ~budget verb params =
   let path = str_param "archive" params in
   with_store t ~budget path (fun ~exec corpus ->
-      let run req = accept (Verb.store ~exec corpus req) in
+      let stored = function Ok v -> v | Error m -> raise (Rejected (Verb.Store m)) in
       let doc () = str_param "doc" params in
       match verb with
       | "store/log" -> (
         match Json.mem_str "doc" params with
         | Some doc ->
-          let entries = run (Verb.Log { doc }) in
+          let entries = stored (Shard.log corpus doc) in
           Json.Obj
             [
               ("doc", Json.Str doc);
@@ -422,20 +412,17 @@ let run_store t ~budget verb params =
             ]
         | None ->
           (* no doc: the catalog, one row per document *)
-          let rows = run Verb.Catalog in
+          let row doc =
+            Json.Obj
+              [
+                ("doc", Json.Str doc);
+                ("versions", Json.int (Shard.versions corpus doc));
+                ("shard", Json.int (Shard.shard_of corpus doc));
+              ]
+          in
           Json.Obj
             [
-              ("docs",
-               Json.Arr
-                 (List.map
-                    (fun (r : Verb.catalog_row) ->
-                      Json.Obj
-                        [
-                          ("doc", Json.Str r.Verb.doc);
-                          ("versions", Json.int r.Verb.versions);
-                          ("shard", Json.int r.Verb.shard);
-                        ])
-                    rows));
+              ("docs", Json.Arr (List.map row (Shard.docs corpus)));
               ("versions", Json.int (Shard.total_versions corpus));
               ("shards", Json.int (Shard.shards corpus));
             ])
@@ -445,19 +432,21 @@ let run_store t ~budget verb params =
         (* the answer honours the request's format, like the CLI's
            [store materialize -f] *)
         let format = format_param params in
-        let tree = run (Verb.Materialize { doc = doc (); version; verify; format }) in
-        Json.Obj [ ("tree", Json.Str tree) ]
+        let tree = stored (Shard.materialize ~verify ~exec corpus ~doc:(doc ()) version) in
+        Json.Obj [ ("tree", Json.Str (format.Doc_format.render tree)) ]
       | "store/commit" ->
         let input = input_params params in
-        let tree = source_param "tree" params in
-        let entry = run (Verb.Commit { input; doc = doc (); tree }) in
+        let tree =
+          accept (Verb.parse input (Treediff_tree.Tree.gen ()) (source_param "tree" params))
+        in
+        let entry = stored (Shard.commit ~exec corpus ~doc:(doc ()) tree) in
         store_revalidate t path corpus;
         entry_json entry
       | _ (* "store/diff" *) ->
         let from_ = version_param "from" params in
         let to_ = version_param "to" params in
-        let script = run (Verb.Compose { doc = doc (); from_; to_ }) in
-        Json.Obj [ ("script", Json.Str script) ])
+        let script = stored (Shard.diff_between ~exec corpus ~doc:(doc ()) ~from_ ~to_) in
+        Json.Obj [ ("script", Json.Str (Treediff_edit.Script_io.to_string script)) ])
 
 (* ------------------------------------------------------------ stats verb *)
 

@@ -1,9 +1,11 @@
 (** The daemon's request policy around the shared verbs.
 
-    Every verb the CLI also has — [diff], [batch], [check], [store/*] — is
-    decoded from its JSON params into a {!Verb} request, run there, and its
-    typed answer encoded back as JSON; a {!Verb.failure} becomes the typed
-    error its {!Verb.error_kind} names.  What stays here is daemon policy:
+    The verbs the CLI also has — [diff], [batch] and [check] — are decoded
+    from their JSON params into a {!Verb} request, run there, and their
+    typed answers encoded back as JSON; the [store/*] verbs parse through
+    {!Verb.parse} and call {!Treediff_store.Shard} as [treediff store]
+    does.  A {!Verb.failure} becomes the typed error its
+    {!Verb.error_kind} names.  What stays here is daemon policy:
 
     - {b Deadlines.}  Each request runs in a fresh {!Treediff_util.Exec}
       whose budget is the client's allowance (capped by [max_deadline_ms])
@@ -23,8 +25,6 @@
     accept-loop domain calls {!handle}. *)
 
 type pressure = Full | Forced_approx | Flat_only
-
-val pressure_name : pressure -> string
 
 type t
 
@@ -74,22 +74,12 @@ val deadline_error :
 
 (** {1 Counters} (read by the [stats] verb and the tests) *)
 
-val served : t -> int
-(** Requests fully executed (any outcome), excluding admission rejects. *)
-
-val ok_count : t -> int
-
-val degraded_count : t -> int
-(** [diff] answers produced by a ladder rung or a forced pressure level. *)
-
 val internal_count : t -> int
 
 val shed_count : t -> int
 (** Requests answered [deadline] without (or before) running. *)
 
 val cache_hits : t -> int
-
-val cache : t -> string Cache.t
 
 val store_handle_hits : t -> int
 (** Store-verb requests served through an already-open (and still-valid)

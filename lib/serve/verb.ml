@@ -5,7 +5,6 @@ module Diff = Treediff.Diff
 module Config = Treediff.Config
 module Doc_format = Treediff_doc.Format
 module Render_diff = Treediff_doc.Render_diff
-module Shard = Treediff_store.Shard
 module Diag = Treediff_check.Diag
 
 let ( let* ) = Result.bind
@@ -48,14 +47,6 @@ let failure_of_exn = function
   | Treediff_util.Fault.Injected p -> Some (Internal ("injected fault at " ^ p))
   | Diag.Failed ds -> Some (Internal (Diag.summary ds))
   | _ -> None
-
-(* A verb body's known exceptions as failures; any other is the front
-   end's barrier's to classify. *)
-let guard f =
-  match f () with
-  | answer -> answer
-  | exception e -> (
-    match failure_of_exn e with Some failure -> Error failure | None -> raise e)
 
 (* ----------------------------------------------------------------- inputs *)
 
@@ -121,7 +112,6 @@ let mode_of_name name =
   | None -> Error (Bad_input (Printf.sprintf "unknown mode %S" name))
 
 type diff = { input : input; settings : settings; mode : Render_diff.mode }
-type rendered = { result : Diff.t; output : string }
 
 (* The pattern names every field, so a field added to the request does not
    compile until the key covers it. *)
@@ -142,29 +132,15 @@ let diff_key
     | Config.Approx_match -> "approx")
     leaf_f internal_t (opt window) (opt sim_threshold) sim_top_k sanitize
 
-let render (req : diff) result = { result; output = Render_diff.render req.mode result }
+let render (req : diff) result = Render_diff.render req.mode result
 
 let diff ?exec req (t1, t2) =
   let* config = config req.settings in
-  match Diff.diff_result ~config ?exec t1 t2 with
-  | Ok result -> Ok (render req result)
-  | Error f -> Error (Ladder f)
-
-type batched = {
-  items : (rendered, Diff.failure) result array;
-  degraded : int;
-  failed : int;
-}
+  Result.map_error (fun f -> Ladder f) (Diff.diff_result ~config ?exec t1 t2)
 
 let batch ?execs ?jobs req pairs =
   let* config = config req.settings in
-  let outcomes = Treediff.Batch.run ~config ?execs ?jobs pairs in
-  Ok
-    {
-      items = Array.map (Result.map (render req)) outcomes;
-      degraded = Treediff.Batch.degraded_count outcomes;
-      failed = Treediff.Batch.failed_count outcomes;
-    }
+  Ok (Treediff.Batch.run ~config ?execs ?jobs pairs)
 
 (* ------------------------------------------------------------------ check *)
 
@@ -173,7 +149,7 @@ type artifact =
   | Stored_script of source
   | Stored_delta of source
 
-type check = { input : input; settings : settings; artifact : artifact }
+type check = { input : input; artifact : artifact }
 type verdict = { diags : Diag.t list; oracle : string option }
 
 let check ?exec ?warn (req : check) sources =
@@ -183,7 +159,6 @@ let check ?exec ?warn (req : check) sources =
     | Ok artifact -> Ok { diags = verify artifact; oracle = None }
     | Error m -> Ok { diags = [ Diag.make code "%s: %s" src.label m ]; oracle = None }
   in
-  guard @@ fun () ->
   match req.artifact with
   | Stored_script src ->
     (* no matching travels with a script: the matching analyzer does not run *)
@@ -193,8 +168,9 @@ let check ?exec ?warn (req : check) sources =
     stored ~code:Diag.Delta_parse Treediff.Delta_io.parse
       (Treediff.Delta_check.run ~new_tree:t2) src
   | Self { audit; exhaustive } ->
-    (* the verifier runs once, below, rather than inside the diff too *)
-    let* config = config { req.settings with sanitize = false } in
+    (* the diff's configuration; the verifier runs once, below, rather
+       than inside the diff too *)
+    let* config = config { default_settings with sanitize = false } in
     let result = Diff.diff ~config ?exec t1 t2 in
     let diags = Diff.verify ~config ~audit_data:audit result ~t1 ~t2 in
     if not exhaustive then Ok { diags; oracle = None }
@@ -207,53 +183,3 @@ let check ?exec ?warn (req : check) sources =
           diags = diags @ report.Treediff.Oracle_audit.diags;
           oracle = Some (Treediff.Oracle_audit.summary report);
         }
-
-(* ------------------------------------------------------------------ store *)
-
-type catalog_row = {
-  doc : string;
-  versions : int;
-  shard : int;
-  head : int64 option;
-}
-
-type _ store =
-  | Commit : { input : input; doc : string; tree : source } -> Shard.entry store
-  | Log : { doc : string } -> Shard.entry list store
-  | Catalog : catalog_row list store
-  | Materialize : {
-      doc : string;
-      version : int;
-      verify : bool;
-      format : Doc_format.t;
-    }
-      -> string store
-  | Compose : { doc : string; from_ : int; to_ : int } -> string store
-
-let store : type a.
-    ?exec:Exec.t -> ?warn:(string -> unit) -> Shard.t -> a store -> (a, failure) result =
- fun ?exec ?warn corpus verb ->
-  let stored r = Result.map_error (fun m -> Store m) r in
-  guard @@ fun () : (a, failure) result ->
-  match verb with
-  | Commit { input; doc; tree } ->
-    let* tree = parse ?warn input (Treediff_tree.Tree.gen ()) tree in
-    stored (Shard.commit ?exec corpus ~doc tree)
-  | Log { doc } -> stored (Shard.log corpus doc)
-  | Catalog ->
-    Ok
-      (List.map
-         (fun doc ->
-           {
-             doc;
-             versions = Shard.versions corpus doc;
-             shard = Shard.shard_of corpus doc;
-             head = Shard.head_hash corpus doc;
-           })
-         (Shard.docs corpus))
-  | Materialize { doc; version; verify; format } ->
-    Result.map format.Doc_format.render
-      (stored (Shard.materialize ~verify ?exec corpus ~doc version))
-  | Compose { doc; from_; to_ } ->
-    Result.map Treediff_edit.Script_io.to_string
-      (stored (Shard.diff_between ?exec corpus ~doc ~from_ ~to_))

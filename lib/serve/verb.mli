@@ -1,6 +1,6 @@
-(** The verbs [treediff] and the daemon share — [diff], [batch], [check]
-    and the store verbs [commit], [log], [materialize] and [diff] — as
-    typed requests with one run function each.
+(** The verbs [treediff] and the daemon share — [diff], [batch] and
+    [check] — as typed requests with one run function each, plus the
+    parsing and failure classification their store verbs share.
 
     A front end maps its input to a request (the CLI from argv, {!Handler}
     from JSON), runs it here and prints the typed answer its own way.
@@ -8,14 +8,19 @@
     NEW), building the diff {!Treediff.Config.t}, running the pipeline
     under the caller's {!Treediff_util.Exec.t}, rendering through
     {!Treediff_doc.Render_diff} and classifying failures happen here once,
-    so both front ends answer a request the same way by construction. *)
+    so both front ends answer a request the same way by construction.
+    The store verbs call {!Treediff_store.Shard} directly; an archive's
+    refusal is a {!Store} failure.
+
+    A run function returns its input and configuration failures; an
+    exception it raises (budget, fault, diagnostic) is for the front end's
+    barrier to classify with {!failure_of_exn}. *)
 
 module Node = Treediff_tree.Node
 module Exec = Treediff_util.Exec
 module Diff = Treediff.Diff
 module Doc_format = Treediff_doc.Format
 module Render_diff = Treediff_doc.Render_diff
-module Shard = Treediff_store.Shard
 module Diag = Treediff_check.Diag
 
 (** {1 Failures} *)
@@ -81,42 +86,39 @@ val default_settings : settings
 val mode_of_name : string -> (Render_diff.mode, failure) result
 
 type diff = { input : input; settings : settings; mode : Render_diff.mode }
-type rendered = { result : Diff.t; output : string }
 
 val diff_key : diff -> pair -> string
 (** Result-cache key: every field of the request plus both trees'
     structural hashes. *)
 
-val diff : ?exec:Exec.t -> diff -> pair -> (rendered, failure) result
+val diff : ?exec:Exec.t -> diff -> pair -> (Diff.t, failure) result
 (** {!Treediff.Diff.diff_result} on a pair the caller parsed (so it can
-    consult a cache or a pressure policy first), rendered. *)
-
-type batched = {
-  items : (rendered, Diff.failure) result array;  (** in pair order *)
-  degraded : int;
-  failed : int;
-}
+    consult a cache or a pressure policy first). *)
 
 val batch :
   ?execs:(int -> Exec.t) ->
   ?jobs:int ->
   diff ->
   pair array ->
-  (batched, failure) result
-(** {!Treediff.Batch.run}, pair [i] under [execs i]: a pair's failure is
-    its own. *)
+  ((Diff.t, Diff.failure) result array, failure) result
+(** {!Treediff.Batch.run}, pair [i] under [execs i], in pair order: a
+    pair's failure is its own. *)
+
+val render : diff -> Diff.t -> string
+(** The request's output mode; a front end renders a result only when it
+    needs the text. *)
 
 (** {1 check} *)
 
 type artifact =
   | Self of { audit : bool; exhaustive : bool }
-      (** diff the pair under the request's settings and verify the result;
-          [audit] adds the data audits, [exhaustive] the minimality
-          oracle *)
+      (** diff the pair under the [diff] verb's default configuration and
+          verify the result; [audit] adds the data audits, [exhaustive]
+          the minimality oracle *)
   | Stored_script of source
   | Stored_delta of source
 
-type check = { input : input; settings : settings; artifact : artifact }
+type check = { input : input; artifact : artifact }
 type verdict = { diags : Diag.t list; oracle : string option }
 
 val check :
@@ -125,35 +127,3 @@ val check :
   check ->
   source * source ->
   (verdict, failure) result
-
-(** {1 Store verbs} *)
-
-type catalog_row = {
-  doc : string;
-  versions : int;
-  shard : int;
-  head : int64 option;
-}
-
-(** A store verb, typed by its answer. *)
-type _ store =
-  | Commit : { input : input; doc : string; tree : source } -> Shard.entry store
-  | Log : { doc : string } -> Shard.entry list store
-  | Catalog : catalog_row list store
-  | Materialize : {
-      doc : string;
-      version : int;
-      verify : bool;
-      format : Doc_format.t;  (** of the answer *)
-    }
-      -> string store
-  | Compose : { doc : string; from_ : int; to_ : int } -> string store
-      (** the chain between two versions as one script *)
-
-val store :
-  ?exec:Exec.t ->
-  ?warn:(string -> unit) ->
-  Shard.t ->
-  'a store ->
-  ('a, failure) result
-(** [exec] bounds the operation (default: the archive's own context). *)
