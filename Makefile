@@ -94,8 +94,9 @@ par-tests:
 	dune exec test/test_batch.exe -- -c
 
 # Similarity-layer suite: SimHash/LSH unit tests, the prefilter recall and
-# budget-charge properties, the approx ladder rung (via the fault suite's
-# ladder cases) and jobs-parity with the prefilter engaged.
+# budget-charge properties, the explicit approx matcher falling back to the
+# windowed rung (via the fault suite's ladder cases) and jobs-parity with
+# the prefilter engaged.
 sim-tests:
 	dune build test/test_matching.exe test/test_batch.exe test/test_fault.exe
 	dune exec test/test_matching.exe -- test similarity -c

@@ -692,51 +692,75 @@ let run_sim ?json ~out () =
 (* ------------------------------------------------ degradation frequency *)
 
 (* How often does a wall-clock budget push the pipeline off the primary
-   algorithm?  Diff a corpus of growing documents under the given deadline
-   and tabulate which ladder rung produced each result. *)
+   algorithm, and what does each rung cost?  Diff growing random documents,
+   generated papers and the adversarial long-chain corpus under the given
+   deadline with the CLI's diff configuration, and tabulate which ladder
+   rung produced each result, the mean script cost and the mean wall time
+   of the whole descent. *)
 let run_budget ~out ms =
   Printf.fprintf out "== Degradation frequency under a %.3g ms budget ==\n" ms;
   let g = Treediff_util.Prng.create 97 in
+  let config = Treediff.Config.with_check false Treediff_doc.Doc_tree.config in
+  let treegen paragraphs gen =
+    let t1 = Treediff_workload.Treegen.random_document g gen ~paragraphs ~vocab:60 in
+    (t1, Treediff_workload.Treegen.perturb g gen ~ops:(paragraphs / 2) t1)
+  in
+  let docgen profile gen =
+    let t1 = Treediff_workload.Docgen.generate g gen profile in
+    (t1, fst (Treediff_workload.Mutate.mutate g gen t1 ~actions:20))
+  in
+  let long_chain n gen =
+    E.Sim_quality.long_chain_pair ~seed:(Treediff_util.Prng.int g 1_000_000) ~n gen
+  in
+  let corpora =
+    List.map (fun p -> (Printf.sprintf "treegen-%d" p, treegen p)) [ 10; 30; 100; 300; 1000 ]
+    @ [
+        ("docgen-medium", docgen Treediff_workload.Docgen.medium);
+        ("docgen-large", docgen Treediff_workload.Docgen.large);
+        ("long-chain-200", long_chain 200);
+        ("long-chain-800", long_chain 800);
+      ]
+  in
+  let slots = [ "primary"; "windowed"; "keyed"; "rebuild"; "failed" ] in
   let table =
     Treediff_util.Table.create
-      ~headers:
-        [
-          "paragraphs"; "nodes"; "primary"; "windowed"; "keyed"; "approx";
-          "rebuild"; "failed";
-        ]
+      ~headers:([ "corpus"; "nodes" ] @ slots @ [ "mean cost"; "mean wall" ])
   in
   List.iter
-    (fun paragraphs ->
-      let counts = [| 0; 0; 0; 0; 0; 0 |] in
-      let nodes = ref 0 in
+    (fun (name, make) ->
+      let counts = Hashtbl.create 8 in
+      let nodes = ref 0 and cost = ref 0. and costed = ref 0 and wall = ref 0. in
       let trials = 10 in
       for _ = 1 to trials do
-        let gen = Treediff_tree.Tree.gen () in
-        let t1 =
-          Treediff_workload.Treegen.random_document g gen ~paragraphs ~vocab:60
-        in
-        let t2 = Treediff_workload.Treegen.perturb g gen ~ops:(paragraphs / 2) t1 in
+        let t1, t2 = make (Treediff_tree.Tree.gen ()) in
         nodes := !nodes + Treediff_tree.Node.size t1;
         let budget = Treediff_util.Budget.make ~deadline_ms:ms () in
         let exec = Treediff_util.Exec.create ~budget () in
+        let t0 = Unix.gettimeofday () in
+        let result = Treediff.Diff.diff_result ~config ~exec t1 t2 in
+        wall := !wall +. (Unix.gettimeofday () -. t0);
         let slot =
-          match Treediff.Diff.diff_result ~exec t1 t2 with
-          | Ok { Treediff.Diff.degraded = None; _ } -> 0
-          | Ok { Treediff.Diff.degraded = Some Treediff.Diff.Windowed; _ } -> 1
-          | Ok { Treediff.Diff.degraded = Some Treediff.Diff.Keyed; _ } -> 2
-          | Ok { Treediff.Diff.degraded = Some Treediff.Diff.Approx; _ } -> 3
-          | Ok { Treediff.Diff.degraded = Some Treediff.Diff.Rebuild; _ } -> 4
-          | Error _ -> 5
+          match result with
+          | Ok r ->
+            cost := !cost +. r.Treediff.Diff.measure.Treediff_edit.Script.cost;
+            incr costed;
+            Option.fold ~none:"primary" ~some:Treediff.Diff.rung_name
+              r.Treediff.Diff.degraded
+          | Error _ -> "failed"
         in
-        counts.(slot) <- counts.(slot) + 1
+        Hashtbl.replace counts slot (1 + Option.value ~default:0 (Hashtbl.find_opt counts slot))
       done;
       Treediff_util.Table.add_row table
-        (string_of_int paragraphs
-        :: string_of_int (!nodes / trials)
-        :: List.map
-             (fun i -> Printf.sprintf "%d/%d" counts.(i) trials)
-             [ 0; 1; 2; 3; 4; 5 ]))
-    [ 10; 30; 100; 300; 1000 ];
+        ([ name; string_of_int (!nodes / trials) ]
+        @ List.map
+            (fun s ->
+              Printf.sprintf "%d/%d" (Option.value ~default:0 (Hashtbl.find_opt counts s)) trials)
+            slots
+        @ [
+            Printf.sprintf "%.1f" (!cost /. float_of_int (max 1 !costed));
+            Printf.sprintf "%.2f ms" (!wall *. 1e3 /. float_of_int trials);
+          ]))
+    corpora;
   Treediff_util.Table.print_to out table;
   Printf.fprintf out "\n%!"
 
@@ -981,7 +1005,7 @@ type serve_phase = {
   sp_achieved : float;  (* send rate actually sustained *)
   sp_requests : int;
   sp_ok : int;  (* full-quality answers *)
-  sp_degraded : int;  (* forced approx/flat rungs *)
+  sp_degraded : int;  (* ladder rungs and flat answers *)
   sp_cached : int;  (* cache hits (subset of ok) *)
   sp_overloaded : int;
   sp_shed : int;  (* typed deadline answers *)
@@ -1147,7 +1171,6 @@ let run_serve_bench ?json ~out () =
     {
       Server.default_config with
       Server.port = 0;
-      degrade_queue = 8;
       flat_queue = 24;
       max_queue = 48;
       cache_entries = 512;
@@ -1232,7 +1255,6 @@ let run_serve_bench ?json ~out () =
     {
       graceful_cfg with
       Server.max_queue = 32;
-      degrade_queue = 33;
       flat_queue = 33;
       cache_entries = 0;
       allow_crash = false;
@@ -1350,7 +1372,7 @@ let usage () =
   print_endline "                  (human tables move to stderr so OUT-producing runs";
   print_endline "                   keep stdout machine-parseable)";
   print_endline
-    "  --budget-ms MS  tabulate ladder-rung frequency under an MS-millisecond deadline";
+    "  --budget-ms MS  tabulate ladder rungs, mean script cost and wall time under an MS-millisecond deadline";
   print_endline "experiments (default: all):";
   List.iter (fun (name, descr, _) -> Printf.printf "  %-12s %s\n" name descr) experiments;
   print_endline

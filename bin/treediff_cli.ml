@@ -195,7 +195,8 @@ let algorithm =
   Arg.(value & opt string "fast" & info [ "a"; "algorithm" ] ~docv:"ALG"
          ~doc:"Matching algorithm: $(b,fast) (FastMatch, §5.3), $(b,simple) \
                (Match, §5.2) or $(b,approx) (greedy SimHash matching — \
-               fastest, least minimal scripts).")
+               least minimal scripts; faster than FastMatch only on long \
+               same-label chains of near-duplicate leaves).")
 
 let approx =
   Arg.(value & flag & info [ "approx" ]
@@ -1037,7 +1038,7 @@ module Client = Treediff_serve.Client
 module Json = Treediff_util.Json
 module Sproto = Treediff_serve.Protocol
 
-let run_serve host port stdio max_queue degrade_queue flat_queue
+let run_serve host port stdio max_queue flat_queue
     default_deadline_ms max_deadline_ms cache_entries allow_crash =
   handle_errors @@ fun () ->
   let config =
@@ -1046,7 +1047,6 @@ let run_serve host port stdio max_queue degrade_queue flat_queue
       Server.host;
       port;
       max_queue;
-      degrade_queue;
       flat_queue;
       default_deadline_ms;
       max_deadline_ms;
@@ -1077,11 +1077,6 @@ let serve_max_queue =
   Arg.(value & opt int 64 & info [ "max-queue" ] ~docv:"N"
          ~doc:"Admission bound: requests beyond a queue depth of $(docv) \
                are rejected with a typed $(b,overloaded) answer.")
-
-let serve_degrade_queue =
-  Arg.(value & opt int 8 & info [ "degrade-queue" ] ~docv:"N"
-         ~doc:"Queue depth at which diff requests are forced onto the \
-               cheap approx rung.")
 
 let serve_flat_queue =
   Arg.(value & opt int 32 & info [ "flat-queue" ] ~docv:"N"
@@ -1114,8 +1109,8 @@ let serve_cmd =
       `P "A long-running server answering diff/batch/check/store requests \
           over length-prefixed JSON frames.  Each request runs in its own \
           execution context under its own deadline; queue pressure degrades \
-          service (full pipeline, then forced approx rung, then flat line \
-          diffs) before rejecting with typed $(b,overloaded) answers; a \
+          service (full pipeline, then flat line diffs) before rejecting \
+          with typed $(b,overloaded) answers; a \
           request that crashes is answered with a typed $(b,internal) error \
           while the server keeps serving.  SIGINT/SIGTERM drain the queue, \
           flush, and exit 0.";
@@ -1123,7 +1118,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(const run_serve $ serve_host $ serve_port $ serve_stdio_flag
-          $ serve_max_queue $ serve_degrade_queue $ serve_flat_queue
+          $ serve_max_queue $ serve_flat_queue
           $ serve_default_deadline $ serve_max_deadline $ serve_cache_entries
           $ serve_allow_crash)
 

@@ -5,9 +5,11 @@ type algorithm =
   | Simple_match  (** Algorithm Match (§5.2) — the O(n²) reference *)
   | Approx_match
       (** Greedy SimHash matching ({!Treediff_matching.Sim_index.greedy}):
-          no criterion tests at all — fastest, least minimal scripts.  The
-          degradation ladder's [approx] rung; selectable directly for huge
-          or hostile inputs. *)
+          no criterion tests at all, least minimal scripts.  It is faster
+          than FastMatch only on long same-label chains of near-duplicate
+          leaves (long-chain 800: 62 ms against 89 ms end to end); on
+          documents it runs about 10× slower, so no degradation rung uses
+          it.  Selected only explicitly. *)
 
 type t = {
   criteria : Treediff_matching.Criteria.t;
@@ -27,8 +29,8 @@ type t = {
           plus banded-LSH top-k retrieval (see {!Fast_match.run}).  [None]
           (default) leaves the prefilter off. *)
   sim_top_k : int;
-      (** candidates retrieved per LSH probe when the prefilter or the
-          [approx] rung runs (default 8). *)
+      (** candidates retrieved per LSH probe when the prefilter or
+          [Approx_match] runs (default 8). *)
   check : bool;
       (** run the {!Treediff_check} static verifier on every {!Diff.diff}
           result and raise {!Treediff_check.Diag.Failed} on error-severity

@@ -12,12 +12,11 @@ module Exec = Treediff_util.Exec
 module Diag = Treediff_check.Diag
 module Line_diff = Treediff_textdiff.Line_diff
 
-type rung = Windowed | Keyed | Approx | Rebuild
+type rung = Windowed | Keyed | Rebuild
 
 let rung_name = function
   | Windowed -> "windowed"
   | Keyed -> "keyed"
-  | Approx -> "approx"
   | Rebuild -> "rebuild"
 
 type t = {
@@ -240,22 +239,6 @@ let run_keyed ~config ~exec t1 t2 =
   then Matching.add m r1 r2;
   diff_with_matching ~config:(rung_config config) ~exec ~matching:m t1 t2
 
-(* Approx rung: greedy SimHash matching (no criterion tests, no string
-   compares) through the full diff pipeline, postprocess off.  Near-linear —
-   one bottom-up signature pass plus one LSH probe per node — so it survives
-   budgets that starve both FastMatch and the keyed pass, while still
-   producing a real matched diff rather than rebuild's delete-everything
-   script.  Like every rung its output is re-verified by the caller. *)
-let run_approx ~config ~exec t1 t2 =
-  let config =
-    {
-      (rung_config config) with
-      Config.algorithm = Config.Approx_match;
-      postprocess = false;
-    }
-  in
-  diff ~config ~exec t1 t2
-
 (* Rebuild rung: empty matching — delete T1, insert T2.  Linear and
    deliberately unbudgeted (fresh unlimited budget, but the same fault
    registry so sticky faults keep firing), so it terminates under any
@@ -277,7 +260,7 @@ let cause_of_exn = function
   | Diag.Failed ds -> Diagnostics ds
   | e -> Exception (Printexc.to_string e)
 
-let ladder = [ Windowed; Keyed; Approx; Rebuild ]
+let ladder = [ Windowed; Keyed; Rebuild ]
 
 let diff_result ?(config = Config.default) ?exec t1 t2 =
   let exec = match exec with Some e -> e | None -> Exec.create () in
@@ -298,7 +281,6 @@ let diff_result ?(config = Config.default) ?exec t1 t2 =
         match rung with
         | Windowed -> run_windowed ~config ~exec:e t1 t2
         | Keyed -> run_keyed ~config ~exec:e t1 t2
-        | Approx -> run_approx ~config ~exec:e t1 t2
         | Rebuild -> run_rebuild ~config ~exec:e t1 t2
       with
       | r -> (

@@ -10,22 +10,22 @@
     Input trees are never mutated.  Node identifiers must be unique across
     the two trees (build both from one {!Treediff_tree.Tree.gen}). *)
 
-type rung = Windowed | Keyed | Approx | Rebuild
+type rung = Windowed | Keyed | Rebuild
 (** Rungs of the degradation ladder, cheapest last:
     {ul
     {- [Windowed] — FastMatch with a tight straggler window ([A(k) = 4]) and
        no §8 post-processing pass;}
     {- [Keyed] — leaf-value keyed matching ({!Treediff_matching.Keyed}): no
        pairwise comparisons at all, so comparison caps cannot trip it;}
-    {- [Approx] — greedy SimHash matching
-       ({!Treediff_matching.Sim_index.greedy}): near-linear, no string
-       comparisons, tolerates near-duplicate leaves that defeat the keyed
-       rung's exact-value keys;}
     {- [Rebuild] — the empty matching: delete [T1], insert [T2].  Linear and
-       unbudgeted, so it terminates under any deadline.}} *)
+       unbudgeted, so it terminates under any deadline.}}
+    The greedy SimHash matcher ({!Config.Approx_match}) is not a rung: on
+    documents it runs about 10× slower than FastMatch, and as a rung
+    between [Keyed] and [Rebuild] it won no descent in a 1–20 ms deadline
+    sweep.  Callers pick it explicitly through [config.algorithm]. *)
 
 val rung_name : rung -> string
-(** ["windowed"], ["keyed"], ["approx"] or ["rebuild"]. *)
+(** ["windowed"], ["keyed"] or ["rebuild"]. *)
 
 type t = {
   matching : Treediff_matching.Matching.t;
@@ -57,7 +57,7 @@ type failure = {
   cause : failure_cause;  (** why the {e primary} attempt failed *)
   attempts : (string * string) list;
       (** what was tried and how each attempt failed, in order:
-          [("primary" | "windowed" | "keyed" | "approx" | "rebuild",
+          [("primary" | "windowed" | "keyed" | "rebuild",
           reason)] *)
   flat : Treediff_textdiff.Line_diff.hunk list;
       (** last-resort flat line diff of the two trees' outlines — always
@@ -99,10 +99,12 @@ val diff_result :
 (** Resilient front door: run {!diff} under [exec]; on {e any} exception
     (budget exhaustion, injected fault, internal diagnostic — everything
     except [Out_of_memory], which is re-raised) descend the degradation
-    ladder [Windowed → Keyed → Approx → Rebuild], each rung in a respawned
-    context
-    (fresh stats, rearmed budget, the {e same} fault registry so fired
-    faults stay sticky).
+    ladder [Windowed → Keyed → Rebuild], each rung in a respawned context
+    (fresh stats, the same fault registry so fired faults stay sticky, and
+    the budget re-armed: each budgeted rung gets the full deadline anew).
+    A descent can therefore take up to 3× the deadline — the primary
+    attempt, [Windowed] and [Keyed] — plus the unbudgeted [Rebuild] and the
+    re-verification of each rung's output.
     Every rung's output is re-verified with the static checker; a rung whose
     result carries error-severity findings is discarded and the descent
     continues, so a degraded result is never wrong-but-silent.  [Ok r] with

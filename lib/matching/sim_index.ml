@@ -94,9 +94,9 @@ let query ?budget ?(max_dist = 64) ~k t sg =
 
 (* ----------------------------------------------------- greedy matcher *)
 
-(* The approx rung's matcher: per label (bottom-up, leaves first, exactly
-   FastMatch's label order), greedily pair chain nodes whose subtree
-   signatures sit within [max_dist] bits of each other — no string
+(* The matcher behind [Config.Approx_match]: per label (bottom-up, leaves
+   first, exactly FastMatch's label order), greedily pair chain nodes whose
+   subtree signatures sit within [max_dist] bits of each other — no string
    comparisons, no criterion tests, one LSH probe per node.  The result is
    one-to-one, label- and kind-respecting and root-consistent, which is all
    the static verifier requires of a matching (criterion misses are

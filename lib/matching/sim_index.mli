@@ -1,5 +1,5 @@
 (** Banded LSH candidate index over per-label chains, plus the greedy
-    signature matcher behind the ladder's [approx] rung.
+    signature matcher behind the [approx] algorithm.
 
     The index buckets a chain's nodes by the {!Feature.bands} 8-bit bands of
     their subtree SimHash signatures; a query unions the buckets its probe

@@ -11,7 +11,7 @@ module Line_diff = Treediff_textdiff.Line_diff
 module Shard = Treediff_store.Shard
 module Doc_format = Treediff_doc.Format
 
-type pressure = Full | Forced_approx | Flat_only
+type pressure = Full | Flat_only
 
 (* An open archive handle kept warm between store requests: replaying a
    large archive's manifest per request is the dominant cost of the store
@@ -167,12 +167,9 @@ let mode_param params =
 
 (* The CLI's diff defaults (word-LCS leaf compare, f = 0.5, t = 0.6), with
    the sanitizer off: a diff answer is verified by the ladder, not per
-   request.  [Forced_approx] pressure pins the approx matcher. *)
-let settings_params ~pressure params =
-  let approx =
-    Option.value ~default:false (Json.mem_bool "approx" params)
-    || pressure = Forced_approx
-  in
+   request. *)
+let settings_params params =
+  let approx = Option.value ~default:false (Json.mem_bool "approx" params) in
   {
     Verb.default_settings with
     algorithm =
@@ -209,14 +206,13 @@ let run_diff t ~pressure ~deadline_ms params =
   let mode_name, mode = mode_param params in
   let input = input_params params in
   let pair = accept (Verb.parse_pair input (sources_params params)) in
-  let req = { Verb.input; settings = settings_params ~pressure params; mode } in
-  let answer ?(mode = mode_name) ~output ~degraded ?ops ~forced ~cached () =
+  let req = { Verb.input; settings = settings_params params; mode } in
+  let answer ?(mode = mode_name) ?(forced = Json.Null) ~output ~degraded ?ops ~cached () =
     Json.Obj
       ([ ("mode", Json.Str mode); ("output", Json.Str output); ("degraded", degraded) ]
       @ Option.fold ~none:[] ~some:(fun n -> [ ("ops", Json.int n) ]) ops
       @ [ ("forced", forced); ("cached", Json.Bool cached) ])
   in
-  let forced = if pressure = Forced_approx then Json.Str "approx" else Json.Null in
   if pressure = Flat_only then begin
     t.degraded <- t.degraded + 1;
     answer ~mode:"flat" ~output:(flat_output pair) ~degraded:(Json.Str "flat")
@@ -225,20 +221,19 @@ let run_diff t ~pressure ~deadline_ms params =
   else begin
     let key = Verb.diff_key req pair in
     match cache_find t key with
-    | Some output -> answer ~output ~degraded:Json.Null ~forced ~cached:true ()
+    | Some output -> answer ~output ~degraded:Json.Null ~cached:true ()
     | None ->
       let result = accept (Verb.diff ~exec:(budget_exec deadline_ms) req pair) in
       let output = Verb.render req result in
       if cacheable result then cache_put t key output;
-      if result.Diff.degraded <> None || pressure = Forced_approx then
-        t.degraded <- t.degraded + 1;
+      if result.Diff.degraded <> None then t.degraded <- t.degraded + 1;
       answer ~output ~degraded:(rung_json result)
-        ~ops:(Script.unweighted result.Diff.measure) ~forced ~cached:false ()
+        ~ops:(Script.unweighted result.Diff.measure) ~cached:false ()
   end
 
 (* ------------------------------------------------------------ batch verb *)
 
-let run_batch t ~pressure ~deadline_ms params =
+let run_batch t ~deadline_ms params =
   let _, mode = mode_param params in
   let pairs_json =
     match Option.bind (Json.member "pairs" params) Json.arr with
@@ -263,7 +258,7 @@ let run_batch t ~pressure ~deadline_ms params =
     | Some j when j >= 1. -> Some (int_of_float j)
     | Some _ | None -> None
   in
-  let req = { Verb.input; settings = settings_params ~pressure params; mode } in
+  let req = { Verb.input; settings = settings_params params; mode } in
   (* one unparsable pair refuses the whole request *)
   let trees = Array.map (fun s -> accept (Verb.parse_pair input s)) pairs in
   (* Every pair runs in its own context under the request's residual
@@ -494,7 +489,7 @@ let dispatch t ~queue_depth ~pressure ~draining ~deadline_ms req =
   | "ping" -> Json.Obj [ ("pong", Json.Bool true); ("draining", Json.Bool draining) ]
   | "stats" -> stats_body t ~queue_depth ~draining
   | "diff" -> run_diff t ~pressure ~deadline_ms params
-  | "batch" -> run_batch t ~pressure ~deadline_ms params
+  | "batch" -> run_batch t ~deadline_ms params
   | "check" -> run_check ~deadline_ms params
   | "store/log" | "store/materialize" | "store/commit" | "store/diff" ->
     (* the store path needs the live budget to compute its residual *)

@@ -11,9 +11,10 @@
       whose budget is the client's allowance (capped by [max_deadline_ms])
       minus the time it already spent queued, so a request that waited too
       long is shed with a typed [deadline] answer instead of started late.
-    - {b Pressure.}  Under [Forced_approx] a diff runs the approx matcher;
-      under [Flat_only] it is answered with a flat line diff.  Both degrade
-      service before the server rejects it as [overloaded].
+    - {b Pressure.}  Under [Flat_only] a diff is answered with a flat line
+      diff (its ["forced"] field says ["flat"]), which degrades service
+      before the server rejects it as [overloaded].  Under [Full] it runs
+      the whole pipeline, the degradation ladder included.
     - {b Caches.}  Full-quality diff answers are cached under
       {!Verb.diff_key}; open archive handles are kept warm between store
       requests.
@@ -24,7 +25,7 @@
     One {!t} lives as long as its server and is single-owner: only the
     accept-loop domain calls {!handle}. *)
 
-type pressure = Full | Forced_approx | Flat_only
+type pressure = Full | Flat_only
 
 type t
 

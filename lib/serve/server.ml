@@ -7,7 +7,6 @@ type config = {
   port : int;
   backlog : int;
   max_queue : int;
-  degrade_queue : int;
   flat_queue : int;
   retry_after_ms : float;
   default_deadline_ms : float;
@@ -23,7 +22,6 @@ let default_config =
     port = 7433;
     backlog = 64;
     max_queue = 64;
-    degrade_queue = 8;
     flat_queue = 32;
     retry_after_ms = 100.;
     default_deadline_ms = 1000.;
@@ -84,9 +82,7 @@ let enqueue_out st c payload =
 (* ------------------------------------------------------------- pressure *)
 
 let pressure_of_depth cfg depth =
-  if depth >= cfg.flat_queue then Handler.Flat_only
-  else if depth >= cfg.degrade_queue then Handler.Forced_approx
-  else Handler.Full
+  if depth >= cfg.flat_queue then Handler.Flat_only else Handler.Full
 
 (* ------------------------------------------------------------ admission *)
 

@@ -5,8 +5,7 @@
     Its depth maps to service quality, degrading {e before} rejecting:
 
     {t | depth [d]                        | policy                                  |
-       | [d < degrade_queue]              | full-quality pipeline                   |
-       | [degrade_queue <= d < flat_queue]| forced approx rung ([Forced_approx])    |
+       | [d < flat_queue]                 | full-quality pipeline ([Full])          |
        | [flat_queue <= d <= max_queue]   | flat line diff only ([Flat_only])       |
        | [d > max_queue]                  | typed [overloaded] reject at admission  |}
 
@@ -37,7 +36,6 @@ type config = {
   port : int;  (** [0] picks an ephemeral port; see [on_listen] *)
   backlog : int;
   max_queue : int;  (** admission bound: beyond this, [overloaded] *)
-  degrade_queue : int;  (** at this depth, force the approx rung *)
   flat_queue : int;  (** at this depth, serve flat line diffs only *)
   retry_after_ms : float;  (** hint carried by [overloaded] answers *)
   default_deadline_ms : float;  (** per-request allowance when unspecified *)

@@ -263,14 +263,14 @@ let test_ladder_comparison_cap_degrades () =
 
 (* Force a specific rung with armed faults and run the soundness contract
    over many random pairs.  Sticky faults make every higher rung fail. *)
-let force_rung ~seed ~pairs ~specs ~expect () =
+let force_rung ?config ~seed ~pairs ~specs ~expect () =
   let rng = Prng.create seed in
   for i = 1 to pairs do
     let gen = Tree.gen () in
     let t1, t2 = random_pair rng gen in
     (* a fresh per-pair context: hit counters start at zero each pair *)
     let exec = Exec.create ~faults:(Fault.create ~specs ()) () in
-    match Diff.diff_result ~exec t1 t2 with
+    match Diff.diff_result ?config ~exec t1 t2 with
     | Error f ->
       Alcotest.fail
         (Printf.sprintf "pair %d: rung %s unreachable: %s" i
@@ -308,21 +308,20 @@ let test_ladder_keyed =
     ~specs:[ raise_at "fast_match.chain" ]
     ~expect:Diff.Keyed
 
-(* with fast_match and keyed dead, the greedy SimHash matcher takes over *)
-let test_ladder_approx =
-  force_rung ~seed:404 ~pairs:200
-    ~specs:[ raise_at "fast_match.chain"; raise_at "keyed.match" ]
-    ~expect:Diff.Approx
-
-(* killing every matcher leaves only the delete-all/insert-all rebuild *)
+(* killing every matcher the ladder uses leaves only the
+   delete-all/insert-all rebuild *)
 let test_ladder_rebuild =
   force_rung ~seed:303 ~pairs:200
-    ~specs:
-      [
-        raise_at "fast_match.chain"; raise_at "keyed.match";
-        raise_at "sim.greedy";
-      ]
+    ~specs:[ raise_at "fast_match.chain"; raise_at "keyed.match" ]
     ~expect:Diff.Rebuild
+
+(* The greedy SimHash matcher is no rung, only an algorithm picked
+   explicitly: when it fails, the descent starts at the windowed rung. *)
+let approx_config = { Config.default with Config.algorithm = Config.Approx_match }
+
+let test_explicit_approx_windowed =
+  force_rung ~config:approx_config ~seed:404 ~pairs:200
+    ~specs:[ raise_at "sim.greedy" ] ~expect:Diff.Windowed
 
 (* Every (registry point, action) combination: the outcome must be a
    verified Ok or a typed Error — never an uncaught exception, never a
@@ -450,30 +449,35 @@ let test_lenient_html () =
    verifier directly, outside the pipeline driver that catches injected
    faults — so a fault armed at one of the verifier's own points
    (check.depgraph, check.oracle) surfaces here as Fault.Injected, which
-   counts as a typed outcome. *)
+   counts as a typed outcome.  Each pair is diffed under the default
+   algorithm and under an explicit [Approx_match], so the armed spec also
+   reaches the greedy matcher's point. *)
 let test_env_sweep () =
   let spec = Option.value ~default:"" (Sys.getenv_opt Fault.env_var) in
   let rng = Prng.create 13 in
   for i = 1 to 25 do
     let gen = Tree.gen () in
     let t1, t2 = random_pair rng gen in
-    match Diff.diff_result t1 t2 with
-    | Ok r -> (
-      let errs =
-        try
-          Diag.errors
-            (Diff.verify ~config:Config.(with_check false default) r ~t1 ~t2)
-        with Fault.Injected _ -> []
-      in
-      match errs with
-      | [] -> ()
-      | errs ->
-        Alcotest.fail
-          (Printf.sprintf "[%s] pair %d: unverified result: %s" spec i
-             (Diag.summary errs)))
-    | Error f ->
-      if f.Diff.attempts = [] then
-        Alcotest.fail (Printf.sprintf "[%s] pair %d: no attempt log" spec i)
+    List.iter
+      (fun config ->
+        match Diff.diff_result ~config t1 t2 with
+        | Ok r -> (
+          let errs =
+            try
+              Diag.errors
+                (Diff.verify ~config:Config.(with_check false default) r ~t1 ~t2)
+            with Fault.Injected _ -> []
+          in
+          match errs with
+          | [] -> ()
+          | errs ->
+            Alcotest.fail
+              (Printf.sprintf "[%s] pair %d: unverified result: %s" spec i
+                 (Diag.summary errs)))
+        | Error f ->
+          if f.Diff.attempts = [] then
+            Alcotest.fail (Printf.sprintf "[%s] pair %d: no attempt log" spec i))
+      [ Config.default; approx_config ]
   done
 
 let () =
@@ -508,8 +512,9 @@ let () =
               test_ladder_comparison_cap_degrades;
             quick "windowed rung x200" test_ladder_windowed;
             quick "keyed rung x200" test_ladder_keyed;
-            quick "approx rung x200" test_ladder_approx;
             quick "rebuild rung x200" test_ladder_rebuild;
+            quick "failed explicit approx: windowed rung x200"
+              test_explicit_approx_windowed;
             quick "registry sweep: never uncaught" test_fault_sweep;
             quick "zhang-shasha budget and fault" test_zs_budget_and_fault;
           ] );

@@ -214,15 +214,28 @@ let test_handler_diff_and_cache () =
   Alcotest.(check string) "same output"
     (Option.get (Json.mem_str "output" body))
     (Option.get (Json.mem_str "output" body2));
-  Alcotest.(check int) "one hit" 1 (Handler.cache_hits h)
+  Alcotest.(check int) "one hit" 1 (Handler.cache_hits h);
+  (* an explicit approx answer is full quality too, cached under its own
+     key: the FastMatch answer above must not serve it *)
+  let approx_params =
+    match diff_params () with
+    | Json.Obj fields -> Json.Obj (fields @ [ ("approx", Json.Bool true) ])
+    | _ -> assert false
+  in
+  let approx = ok_body (handle h (req "diff" approx_params)) in
+  Alcotest.(check bool) "approx not served from the fast entry" false
+    (Option.value ~default:true (Json.mem_bool "cached" approx));
+  Alcotest.(check (option string)) "approx not forced" None
+    (Json.mem_str "forced" approx);
+  let approx2 = ok_body (handle h (req "diff" approx_params)) in
+  Alcotest.(check bool) "repeated approx served from cache" true
+    (Option.value ~default:false (Json.mem_bool "cached" approx2));
+  Alcotest.(check (option string)) "same approx output"
+    (Json.mem_str "output" approx) (Json.mem_str "output" approx2);
+  Alcotest.(check int) "two hits" 2 (Handler.cache_hits h)
 
 let test_handler_pressure_levels () =
   let h = Handler.create () in
-  let body =
-    ok_body (handle ~pressure:Handler.Forced_approx h (req "diff" (diff_params ())))
-  in
-  Alcotest.(check (option string)) "forced approx" (Some "approx")
-    (Json.mem_str "forced" body);
   let body =
     ok_body (handle ~pressure:Handler.Flat_only h (req "diff" (diff_params ())))
   in
@@ -230,7 +243,9 @@ let test_handler_pressure_levels () =
     (Json.mem_str "mode" body);
   Alcotest.(check (option string)) "flagged degraded" (Some "flat")
     (Json.mem_str "degraded" body);
-  (* neither pressure answer may poison the cache *)
+  Alcotest.(check (option string)) "forced flat" (Some "flat")
+    (Json.mem_str "forced" body);
+  (* the flat answer may not poison the cache *)
   let body = ok_body (handle h (req "diff" (diff_params ()))) in
   Alcotest.(check bool) "full answer not from cache" false
     (Option.value ~default:true (Json.mem_bool "cached" body))
