@@ -1,4 +1,4 @@
-.PHONY: all build lint check test bench bench-quick doc clean examples fault-tests store-tests par-tests bench-parallel sim-tests bench-sim bench-compare analyze-tests bench-check serve-tests bench-serve bench-store bench-store-scale ci ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
+.PHONY: all build lint check test test-force bench bench-timing clean examples fault-tests store-tests par-tests bench-parallel sim-tests bench-sim bench-compare analyze-tests bench-check serve-tests bench-serve bench-store bench-store-scale ci ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
 
 all: build
 
@@ -9,17 +9,25 @@ lint:
 	dune build @lint
 
 # Static gate: build everything (check layer is warnings-as-errors), then run
-# the verifier end-to-end over every example pair.
+# the verifier end-to-end over every example pair, and ship each pair's
+# script the way a user would: diff -m script, apply it to OLD, and check
+# the stored script against OLD and NEW.
 check: lint
-	@for p in examples/pairs/*.old.*; do \
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for p in examples/pairs/*.old.*; do \
 	  ext=$${p##*.}; \
 	  case "$$ext" in \
 	    sexp) fmt=sexp ;; json) fmt=json ;; md) fmt=markdown ;; \
 	    xml) fmt=xml ;; tex) fmt=latex ;; html) fmt=html ;; \
 	    *) continue ;; \
 	  esac; \
+	  new="$${p%.old.$$ext}.new.$$ext"; \
 	  echo "== treediff check -f $$fmt $$p"; \
-	  dune exec bin/treediff_cli.exe -- check -f "$$fmt" "$$p" "$${p%.old.$$ext}.new.$$ext" || exit 1; \
+	  dune exec bin/treediff_cli.exe -- check -f "$$fmt" "$$p" "$$new" || exit 1; \
+	  echo "== treediff diff -m script | apply | check --script -f $$fmt $$p"; \
+	  dune exec bin/treediff_cli.exe -- diff -f "$$fmt" -m script "$$p" "$$new" -o "$$tmp/script" || exit 1; \
+	  dune exec bin/treediff_cli.exe -- apply -f "$$fmt" "$$p" "$$tmp/script" -o "$$tmp/applied" || exit 1; \
+	  dune exec bin/treediff_cli.exe -- check -f "$$fmt" --script "$$tmp/script" "$$p" "$$new" || exit 1; \
 	done
 
 # The suite runs with the always-on sanitizer enabled: every Diff.diff in any
@@ -187,11 +195,11 @@ bench-timing:
 	dune exec bench/main.exe -- --bechamel
 
 # Full local CI umbrella: build + the whole suite under the sanitizer +
-# lint + every fault sweep + a bench trajectory gate against the committed
+# lint + the example-pair check + every fault sweep + a bench trajectory gate against the committed
 # BENCH_check.json.  The bench gate re-measures on this host, so the
 # regression threshold is generous — it catches complexity cliffs, not
 # noise.
-ci: build test lint fault-tests store-tests par-tests sim-tests analyze-tests serve-tests ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
+ci: build test lint check fault-tests store-tests par-tests sim-tests analyze-tests serve-tests ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
 	@echo "ci: all gates passed"
 
 # The repository benchmark's own self-tests at reduced sizes (about a

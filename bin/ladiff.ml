@@ -57,7 +57,7 @@ let run old_file new_file format lenient threshold leaf_f output mode check =
       Treediff_doc.Html_markup.to_html ~full_page:true
         ~title:(Filename.basename new_file) result.Treediff.Diff.delta
     | "text" -> out.Treediff_doc.Ladiff.marked_text
-    | "script" -> Treediff_edit.Script_io.to_string result.Treediff.Diff.script
+    | "script" -> Treediff_doc.Render_diff.(render Script result)
     | "summary" ->
       Treediff_doc.Markup.summary result.Treediff.Diff.delta ^ "\n"
     | "side-by-side" ->

@@ -304,24 +304,23 @@ let run_apply tree_file script_file format lenient jobs output =
       (Verb.parse ~warn:(warn_for format) { Verb.format; lenient }
          (Treediff_tree.Tree.gen ()) (source tree_file))
   in
-  let script =
+  let dummy, script =
     match Treediff_edit.Script_io.parse (read_file script_file) with
-    | Ok script -> script
+    | Ok parsed -> parsed
     | Error msg -> die (Verb.Bad_input (Printf.sprintf "%s: %s" script_file msg))
   in
-  let apply () =
+  let module Script = Treediff_edit.Script in
+  match
     match jobs with
-    | None -> Treediff_edit.Script.apply_result t script
-    | Some j -> (
+    | None -> Script.apply ?dummy t script
+    | Some j ->
       (* Parallel replay over the commuting slices of the script's
          dependence graph; byte-identical to the sequential path. *)
-      match Treediff_check.Depgraph.apply_parallel ~jobs:j t script with
-      | t' -> Ok t'
-      | exception Treediff_edit.Script.Apply_error msg -> Error msg)
-  in
-  match apply () with
-  | Ok t' -> write_out output (format.Doc_format.render t')
-  | Error msg ->
+      let t' = Treediff_check.Depgraph.apply_parallel ~jobs:j (Script.rooted ?dummy t) script in
+      if dummy = None then t' else Script.unwrap t'
+  with
+  | t' -> write_out output (format.Doc_format.render t')
+  | exception Script.Apply_error msg ->
     Printf.eprintf "treediff: script does not apply: %s\n" msg;
     exit exit_internal
 
@@ -727,8 +726,8 @@ let run_store_show archive version output doc =
     match e.Shard.kind with
     | Chain.Snapshot -> ""
     | Chain.Delta | Chain.Checkpoint ->
-      Treediff_edit.Script_io.to_string
-        (ok_or_die (Shard.script_of corpus ~doc version))
+      let dummy, script = ok_or_die (Shard.script_of corpus ~doc version) in
+      Treediff_edit.Script_io.to_string ?dummy script
   in
   write_out output (header ^ body)
 

@@ -43,38 +43,24 @@ type failure = {
   flat : Line_diff.hunk list;
 }
 
-let with_dummy id label t =
-  let d = Node.make ~id ~label () in
-  Node.append_child d (Tree.copy t);
-  d
-
-let dummy_rooted result t1 =
-  match result with
-  | None -> Tree.copy t1
-  | Some (d1, _) -> with_dummy d1 "@@root" t1
-
 (* Static verification of a result (the check layer): analyze the script,
    matching and their conformance symbolically.  The dummy-root convention is
    resolved here — the verifier sees the effective (possibly dummy-rooted)
    trees and a matching extended with the dummy pair — so callers hand over
    the same [t1]/[t2] they gave [diff]. *)
 let verify ?(config = Config.default) ?audit_data result ~t1 ~t2 =
-  let eff1 = dummy_rooted result.dummy t1 in
-  let eff2 =
-    match result.dummy with
-    | None -> t2
-    | Some (_, d2) -> with_dummy d2 "@@root" t2
-  in
   let m = Matching.copy result.matching in
   (match result.dummy with Some (d1, d2) -> Matching.add m d1 d2 | None -> ());
+  let rooted side t = Script.rooted ?dummy:(Option.map side result.dummy) t in
   Treediff_check.Check.verify ~criteria:config.Config.criteria ~matching:m
-    ?dummy:result.dummy ?audit_data ~t1:eff1 ~t2:eff2 result.script
+    ?dummy:result.dummy ?audit_data ~t1:(rooted fst t1) ~t2:(rooted snd t2)
+    result.script
 
 let finish ?(config = Config.default) ~exec ?degraded ~matching
     ~postprocess_fixes t1 t2 =
   let stats = Exec.stats exec in
   let gen = Edit_gen.generate ~exec ~matching t1 t2 in
-  let base = dummy_rooted gen.Edit_gen.dummy t1 in
+  let base = Script.rooted ?dummy:(Option.map fst gen.Edit_gen.dummy) t1 in
   let measure = Script.measure ~model:config.Config.cost base gen.Edit_gen.script in
   let delta =
     Delta.build ~exec ~t1 ~t2 ~total:gen.Edit_gen.total
@@ -132,16 +118,7 @@ let diff_with_matching ?(config = Config.default) ?exec ~matching t1 t2 =
   finish ~config ~exec ~matching ~postprocess_fixes:0 t1 t2
 
 let apply result t1 =
-  let base = dummy_rooted result.dummy t1 in
-  let out = Script.apply base result.script in
-  match result.dummy with
-  | None -> out
-  | Some _ -> (
-    match Node.children out with
-    | [ real ] ->
-      Node.detach real;
-      real
-    | _ -> raise (Script.Apply_error "dummy root does not have exactly one child"))
+  Script.apply ?dummy:(Option.map fst result.dummy) t1 result.script
 
 let check result ~t1 ~t2 =
   match

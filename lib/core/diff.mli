@@ -113,8 +113,8 @@ val diff_result :
     per-attempt failure log, and a flat line diff as a last resort. *)
 
 val apply : t -> Treediff_tree.Node.t -> Treediff_tree.Node.t
-(** [apply result t1] replays the script on a copy of [t1], handling the
-    dummy-root convention, and returns a tree isomorphic to the new tree.
+(** [apply result t1] replays the script on a copy of [t1] under the dummy
+    root, if any, and returns a tree isomorphic to the new tree.
     @raise Treediff_edit.Script.Apply_error if [t1] is not the tree the
     result was computed from. *)
 

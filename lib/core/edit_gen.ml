@@ -23,8 +23,6 @@ type result = {
   dummy : (int * int) option;
 }
 
-let dummy_label = "@@root"
-
 (* Mutable state threaded through one generation run.  The working tree
    mutates as operations are emitted, so its index stays a hashtable; T2 is
    frozen for the whole run and gets a dense array index. *)
@@ -298,12 +296,8 @@ let generate ?exec ~matching t1 t2 =
     else begin
       let d1 = !next_id and d2 = !next_id + 1 in
       next_id := !next_id + 2;
-      let w = Node.make ~id:d1 ~label:dummy_label () in
-      Node.append_child w (Tree.copy t1);
-      let n2 = Node.make ~id:d2 ~label:dummy_label () in
-      Node.append_child n2 (Tree.copy t2);
       Matching.add m d1 d2;
-      (w, n2, Some (d1, d2))
+      (Script.rooted ~dummy:d1 t1, Script.rooted ~dummy:d2 t2, Some (d1, d2))
     end
   in
   let st =

@@ -16,10 +16,10 @@
     under detach-then-insert semantics.  See DESIGN.md §4.2.
 
     {b Dummy roots.}  When the roots are unmatched the algorithm (per §4.1)
-    grafts both trees under fresh dummy roots and matches those; the
-    resulting script is then expressed relative to the dummy-rooted [T1].
-    The result records the dummy pair so callers can replay the script
-    (see {!Diff.apply}). *)
+    grafts both trees under fresh dummy roots ({!Treediff_edit.Script.rooted})
+    and matches those; the resulting script is then expressed relative to
+    the dummy-rooted [T1].  The result records the dummy pair so callers
+    can replay the script (see {!Treediff_edit.Script.apply}). *)
 
 type result = {
   script : Treediff_edit.Script.t;

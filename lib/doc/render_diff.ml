@@ -28,7 +28,9 @@ let stats (result : Diff.t) =
 
 let render mode (result : Diff.t) =
   match mode with
-  | Script -> Treediff_edit.Script_io.to_string result.Diff.script
+  | Script ->
+    let dummy = Option.map fst result.Diff.dummy in
+    Treediff_edit.Script_io.to_string ?dummy result.Diff.script
   | Delta -> Treediff.Delta_io.to_string result.Diff.delta ^ "\n"
   | Stats -> stats result
   | Side_by_side -> Render_align.render result.Diff.delta

@@ -57,11 +57,31 @@ let apply_into ~root ~index op =
         (Node.child_count p);
     Node.insert_child p k n
 
-let apply t1 script =
-  let root = Tree.copy t1 in
+(* The §4.1 dummy root: [t] grafted, in place, under a fresh root [d1].  A
+   [d1] read from a file may name a node of [t]: two nodes with one id. *)
+let graft d1 t =
+  if Tree.find_by_id t d1 <> None then err "dummy root %d is already a node of the tree" d1;
+  let w = Node.make ~id:d1 ~label:"@@root" () in
+  Node.append_child w t;
+  w
+
+let unwrap root =
+  match Node.children root with
+  | [ real ] ->
+    Node.detach real;
+    real
+  | _ -> err "dummy root %d does not have exactly one child" root.Node.id
+
+let rooted ?dummy t =
+  match dummy with None -> t | Some d1 -> graft d1 (Tree.copy t)
+
+let replay ?dummy t script =
+  let root = match dummy with None -> t | Some d1 -> graft d1 t in
   let index = Tree.index_by_id root in
   List.iter (apply_into ~root ~index) script;
-  root
+  if dummy = None then root else unwrap root
+
+let apply ?dummy t1 script = replay ?dummy (Tree.copy t1) script
 
 let apply_result t1 script =
   match apply t1 script with

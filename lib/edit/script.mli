@@ -27,15 +27,34 @@ val apply_into : root:Treediff_tree.Node.t -> index:(int, Treediff_tree.Node.t) 
 (** Apply one operation in place, maintaining [index].
     @raise Apply_error if a precondition fails. *)
 
-val apply : Treediff_tree.Node.t -> t -> Treediff_tree.Node.t
-(** [apply t1 script] deep-copies [t1], applies the whole script, and returns
-    the transformed root.  The input tree is not modified.
+(** {1 The dummy root}
+
+    When the roots go unmatched, §4.1 grafts both trees under fresh roots
+    labelled [@@root] and writes the script against the dummy-rooted [T1].
+    Its root id [d1] travels with the script ([dummy] below): in a diff
+    result, a {!Script_io} [ROOT(d1)] line, or a store record. *)
+
+val rooted : ?dummy:int -> Treediff_tree.Node.t -> Treediff_tree.Node.t
+(** The tree a script is written against: [t] itself, or with [dummy] a
+    copy of [t] grafted under it.  [t] is not modified.
+    @raise Apply_error if [dummy] is the id of a node of [t]. *)
+
+val unwrap : Treediff_tree.Node.t -> Treediff_tree.Node.t
+(** Detach and return the one child of a dummy root.
+    @raise Apply_error if it does not have exactly one. *)
+
+val replay : ?dummy:int -> Treediff_tree.Node.t -> t -> Treediff_tree.Node.t
+(** Apply the script {e in place} to [t] (consumed), grafted under [dummy]
+    first and unwrapped after when given; returns the transformed root.
+    @raise Apply_error if any operation is invalid, or as {!rooted}. *)
+
+val apply : ?dummy:int -> Treediff_tree.Node.t -> t -> Treediff_tree.Node.t
+(** {!replay} on a deep copy of [t1]; [t1] is not modified.
     @raise Apply_error if any operation is invalid. *)
 
 val apply_result : Treediff_tree.Node.t -> t -> (Treediff_tree.Node.t, string) result
 (** Exception-free front end to {!apply}, for replaying persisted scripts
-    that may be malformed (the version store's materialization path, the
-    CLI's [apply]).  Never raises {!Apply_error}. *)
+    that may be malformed.  Never raises {!Apply_error}. *)
 
 val invert : Treediff_tree.Node.t -> t -> t
 (** [invert t1 script] is the inverse script: applying it to [apply t1

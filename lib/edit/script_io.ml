@@ -28,10 +28,10 @@ let render op =
   | Op.Update { id; value } -> Printf.sprintf "UPD(%d,\"%s\")" id (escape value)
   | Op.Move { id; parent; pos } -> Printf.sprintf "MOV(%d,%d,%d)" id parent pos
 
-let to_string script =
-  String.concat "\n" (List.map render script) ^ if script = [] then "" else "\n"
-
-let to_channel oc script = output_string oc (to_string script)
+let to_string ?dummy script =
+  (match dummy with None -> "" | Some d1 -> Printf.sprintf "ROOT(%d)\n" d1)
+  ^ String.concat "\n" (List.map render script)
+  ^ if script = [] then "" else "\n"
 
 (* ----------------------------------------------------------------- parse *)
 
@@ -72,8 +72,9 @@ let fail c fmt =
       in
       raise
         (Parse_error
-           (Printf.sprintf "op %d, line %d, column %d: %s%s" c.opno c.lineno
-              (c.pos + 1) msg where)))
+           (Printf.sprintf "%sline %d, column %d: %s%s"
+              (if c.opno = 0 then "ROOT, " else Printf.sprintf "op %d, " c.opno)
+              c.lineno (c.pos + 1) msg where)))
     fmt
 
 let peek c = if c.pos < String.length c.line then Some c.line.[c.pos] else None
@@ -203,34 +204,34 @@ let parse_line ~opno lineno line =
   if c.pos <> String.length line then fail c "trailing characters after operation";
   op
 
+(* The optional first line [ROOT(d1)]; anywhere else [ROOT] is an unknown
+   operation. *)
+let root_line lineno line =
+  let c = { line; lineno; opno = 0; pos = String.length "ROOT(" } in
+  let d1 = int_lit c in
+  expect c ')';
+  if c.pos <> String.length line then fail c "trailing characters after ROOT(d1)";
+  d1
+
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let opno = ref 0 in
-  List.concat
-    (List.mapi
-       (fun i line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then []
-         else begin
-           incr opno;
-           [ parse_line ~opno:!opno (i + 1) line ]
-         end)
-       lines)
+  let lines =
+    String.split_on_char '\n' s
+    |> List.mapi (fun i line -> (i + 1, String.trim line))
+    |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
+  in
+  let dummy, lines =
+    match lines with
+    | (lineno, line) :: rest when String.starts_with ~prefix:"ROOT(" line ->
+      (Some (root_line lineno line), rest)
+    | _ -> (None, lines)
+  in
+  (dummy, List.mapi (fun i (lineno, line) -> parse_line ~opno:(i + 1) lineno line) lines)
 
 let parse s =
   match of_string s with
-  | script -> Ok script
+  | parsed -> Ok parsed
   | exception Parse_error msg -> Error msg
   | exception exn ->
     (* A parser must never escalate bad input into a crash; anything else
        escaping [of_string] is reported, not propagated. *)
     Error ("unexpected parser failure: " ^ Printexc.to_string exn)
-
-let of_channel ic =
-  let buf = Buffer.create 1024 in
-  (try
-     while true do
-       Buffer.add_channel buf ic 1
-     done
-   with End_of_file -> ());
-  of_string (Buffer.contents buf)

@@ -162,8 +162,14 @@ let check ?exec ?warn (req : check) sources =
   match req.artifact with
   | Stored_script src ->
     (* no matching travels with a script: the matching analyzer does not run *)
-    stored ~code:Diag.Script_parse Treediff_edit.Script_io.parse
-      (Treediff_check.Check.verify ~t1 ~t2) src
+    let parse text =
+      Result.bind (Treediff_edit.Script_io.parse text) @@ fun (dummy, script) ->
+      match Treediff_edit.Script.(rooted ?dummy t1, rooted ?dummy t2) with
+      | t1, t2 -> Ok (t1, t2, script)
+      | exception Treediff_edit.Script.Apply_error m -> Error m
+    in
+    stored ~code:Diag.Script_parse parse
+      (fun (t1, t2, script) -> Treediff_check.Check.verify ~t1 ~t2 script) src
   | Stored_delta src ->
     stored ~code:Diag.Delta_parse Treediff.Delta_io.parse
       (Treediff.Delta_check.run ~new_tree:t2) src

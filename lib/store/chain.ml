@@ -69,7 +69,7 @@ let parse_record (record : Container.record) =
   let bytes = String.length record.Container.payload in
   let script what s =
     match Script_io.parse s with
-    | Ok script -> script
+    | Ok (_, script) -> script
     | Error msg -> raise (B.Malformed (0, Printf.sprintf "%s script: %s" what msg))
   in
   match
@@ -144,27 +144,13 @@ let find entries v =
 
 (* ----------------------------------------------------------- materialize *)
 
-let with_dummy d1 tree =
-  let w = Node.make ~id:d1 ~label:"@@root" () in
-  Node.append_child w tree;
-  w
-
-let unwrap_dummy root =
-  match Node.children root with
-  | [ real ] ->
-    Node.detach real;
-    Ok real
-  | _ -> Error "dummy root does not have exactly one child after replay"
-
 (* Replay one chain step in place on [cur] (which is consumed). *)
 let replay_step ~exec cur (p : parsed) ~backward =
   let script = if backward then p.inv else p.fwd in
   Exec.fault exec "store.replay";
   Budget.visit_n (Exec.budget exec) (List.length script);
-  let base = match p.dummy with None -> cur | Some d1 -> with_dummy d1 cur in
-  let index = Tree.index_by_id base in
-  match List.iter (Script.apply_into ~root:base ~index) script with
-  | () -> ( match p.dummy with None -> Ok base | Some _ -> unwrap_dummy base)
+  match Script.replay ?dummy:p.dummy cur script with
+  | t -> Ok t
   | exception Script.Apply_error msg ->
     Error
       (Printf.sprintf "version %d: stored %s script does not apply: %s"
@@ -330,13 +316,8 @@ let next_record ?(config = Treediff.Config.default) ~exec ~policy ~state ~head
         ^ String.concat "; " (List.map Diag.to_string ds))
     | [] -> (
       let dummy = Option.map fst result.Treediff.Diff.dummy in
-      let base =
-        match dummy with
-        | None -> head
-        | Some d1 -> with_dummy d1 (Tree.copy head)
-      in
       let fwd = result.Treediff.Diff.script in
-      let inv = Script.invert base fwd in
+      let inv = Script.invert (Script.rooted ?dummy head) fwd in
       let new_head = Treediff.Diff.apply result head in
       let hash = Iso.hash new_head in
       let next_id =

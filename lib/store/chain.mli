@@ -147,7 +147,7 @@ val diff_between :
     dependence pins a non-delete after a delete, the script is instead
     re-emitted by Algorithm EditScript under the identity matching on the
     chain's shared id space — same endpoints, and minimal — then
-    canonically ordered.  Versions whose roots did not match at commit
-    time (dummy-rooted deltas) changed root identity, which no plain
-    script can express; these ranges are refused with an explanatory
-    error. *)
+    canonically ordered.  A range crossing a dummy-rooted delta (roots
+    unmatched at commit time) is refused with an explanatory error: that
+    step is written against its own dummy root, its neighbours against the
+    real root, so the steps share no tree to compose over. *)

@@ -502,7 +502,7 @@ let script_of t ~doc v =
   | Error _ as e -> e
   | Ok { Chain.meta = { kind = Chain.Snapshot; _ }; _ } ->
     Error (Printf.sprintf "version %d is a full snapshot, not a delta" v)
-  | Ok p -> Ok p.Chain.fwd
+  | Ok p -> Ok (p.Chain.dummy, p.Chain.fwd)
 
 let diff_between ?exec t ~doc ~from_ ~to_ =
   let e = match exec with Some e -> e | None -> t.exec_ in

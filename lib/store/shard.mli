@@ -137,9 +137,10 @@ val log : t -> string -> (entry list, string) result
 (** Oldest first, from the document's base; loads its chain. *)
 
 val script_of :
-  t -> doc:string -> int -> (Treediff_edit.Script.t, string) result
-(** The stored forward delta carrying version [v-1] of [doc] to [v] (an
-    error for a snapshot, which has no incoming delta). *)
+  t -> doc:string -> int -> (int option * Treediff_edit.Script.t, string) result
+(** The stored forward delta carrying version [v-1] of [doc] to [v] and its
+    dummy root, if any (an error for a snapshot, which has no incoming
+    delta). *)
 
 val materialize :
   ?verify:bool ->

@@ -23,13 +23,7 @@ let base_tree () =
   let gen = Tree.gen () in
   Codec.parse gen {|(D (P (S "a") (S "b")) (P (S "c") (S "d")))|}
 
-let effective_base (r : Diff.t) t1 =
-  match r.Diff.dummy with
-  | None -> Tree.copy t1
-  | Some (d1, _) ->
-    let d = Node.make ~id:d1 ~label:"@@root" () in
-    Node.append_child d (Tree.copy t1);
-    d
+let effective_base (r : Diff.t) t1 = Script.rooted ?dummy:(Option.map fst r.Diff.dummy) t1
 
 let render t = Codec.to_string ~indent:false t
 

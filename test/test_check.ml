@@ -386,16 +386,8 @@ let mutation_prop =
       let config = Config.(with_check false default) in
       let r = Diff.diff ~config t1 t2 in
       (* effective (dummy-rooted) trees, mirroring Diff.verify *)
-      let eff t d =
-        match d with
-        | None -> Tree.copy t
-        | Some id ->
-          let w = Node.make ~id ~label:"@@root" () in
-          Node.append_child w (Tree.copy t);
-          w
-      in
-      let eff1 = eff t1 (Option.map fst r.Diff.dummy) in
-      let eff2 = eff t2 (Option.map snd r.Diff.dummy) in
+      let eff1 = Script.rooted ?dummy:(Option.map fst r.Diff.dummy) t1 in
+      let eff2 = Script.rooted ?dummy:(Option.map snd r.Diff.dummy) t2 in
       let script = Array.of_list r.Diff.script in
       let n = Array.length script in
       if n = 0 then true

@@ -187,7 +187,7 @@ let test_script_io_roundtrip () =
   let s = Script_io.to_string sample_script in
   Alcotest.(check bool) "renders paper notation" true
     (String.length s > 0 && String.sub s 0 4 = "INS(");
-  let back = Script_io.of_string s in
+  let _, back = Script_io.of_string s in
   Alcotest.(check int) "same length" (List.length sample_script) (List.length back);
   Alcotest.(check string) "identical after round-trip" s (Script_io.to_string back)
 
@@ -200,14 +200,14 @@ let test_script_io_tricky_values () =
       Op.Insert { id = 4; label = "S"; value = ""; parent = 1; pos = 1 };
     ]
   in
-  let back = Script_io.of_string (Script_io.to_string ops) in
+  let _, back = Script_io.of_string (Script_io.to_string ops) in
   List.iter2
     (fun a b -> Alcotest.(check string) "value survives" (Op.to_string a) (Op.to_string b))
     ops back
 
 let test_script_io_comments_and_blanks () =
   let src = "# header comment\n\nDEL(7)\n  \nUPD(3,\"x\")\n" in
-  Alcotest.(check int) "two ops" 2 (List.length (Script_io.of_string src))
+  Alcotest.(check int) "two ops" 2 (List.length (snd (Script_io.of_string src)))
 
 let test_script_io_errors () =
   let fails s =
@@ -226,7 +226,7 @@ let test_script_io_parse_result () =
   (* The exception-free front end: truncated, overflowing and duplicate-ish
      inputs all come back as Error, never as an exception. *)
   (match Script_io.parse "MOV(2,5,2)\nDEL(7)\n" with
-  | Ok s -> Alcotest.(check int) "two ops parsed" 2 (List.length s)
+  | Ok (_, s) -> Alcotest.(check int) "two ops parsed" 2 (List.length s)
   | Error e -> Alcotest.fail ("unexpected error: " ^ e));
   let err s =
     match Script_io.parse s with
@@ -286,9 +286,99 @@ let script_io_roundtrip_prop =
       let t2 = Treediff_workload.Treegen.perturb g gen t1 in
       let r = Treediff.Diff.diff t1 t2 in
       let script = r.Treediff.Diff.script in
-      let back = Script_io.of_string (Script_io.to_string script) in
+      let _, back = Script_io.of_string (Script_io.to_string script) in
       List.length back = List.length script
       && List.for_all2 (fun a b -> Op.to_string a = Op.to_string b) script back)
+
+(* Generated pairs, half of them with the new root relabelled so the roots
+   go unmatched (§4.1): the rendered script, parsed back, replays on T1
+   through the shared dummy-root helper to a tree isomorphic to T2. *)
+let script_io_replay_prop =
+  QCheck2.Test.make ~name:"script_io text replays, dummy-rooted or not" ~count:100
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let g = Treediff_util.Prng.create seed in
+      let gen = Tree.gen () in
+      let t1 =
+        Treediff_workload.Treegen.random_document g gen
+          ~paragraphs:(1 + Treediff_util.Prng.int g 5) ~vocab:50
+      in
+      let t2 = Treediff_workload.Treegen.perturb g gen t1 in
+      let t2 =
+        if Treediff_util.Prng.int g 2 = 0 then t2
+        else begin
+          let kids = Node.children (Tree.copy t2) in
+          List.iter Node.detach kids;
+          Tree.node gen "Renamed" kids
+        end
+      in
+      let r = Treediff.Diff.diff t1 t2 in
+      let text =
+        Script_io.to_string
+          ?dummy:(Option.map fst r.Treediff.Diff.dummy)
+          r.Treediff.Diff.script
+      in
+      let dummy, script = Script_io.of_string text in
+      Treediff_tree.Iso.equal (Script.apply ?dummy t1 script) t2)
+
+(* A script file written before the ROOT line existed (the config example
+   pair, whose roots go unmatched) parses to the same ops as ever, with no
+   dummy; prefixing the ROOT line changes nothing else. *)
+let test_script_io_pre_root_file () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name)
+      "fixtures/config.pre-root.script"
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let dummy, ops = Script_io.of_string text in
+  Alcotest.(check (option int)) "no dummy" None dummy;
+  Alcotest.(check int) "19 ops" 19 (List.length ops);
+  Alcotest.(check string) "first op" "INS((24,Config),22,1)"
+    (Op.to_string (List.hd ops));
+  Alcotest.(check string) "re-renders byte-identically" text (Script_io.to_string ops);
+  let dummy', ops' = Script_io.of_string ("ROOT(22)\n" ^ text) in
+  Alcotest.(check (option int)) "ROOT line read" (Some 22) dummy';
+  Alcotest.(check bool) "same ops with the ROOT line" true (ops = ops');
+  Alcotest.(check string) "ROOT line re-rendered" ("ROOT(22)\n" ^ text)
+    (Script_io.to_string ~dummy:22 ops);
+  match Script_io.parse ("DEL(1)\nROOT(22)\n") with
+  | Error msg ->
+    Alcotest.(check bool) "late ROOT names line 2" true
+      (String.length msg > 0 && String.sub msg 0 13 = "op 2, line 2,")
+  | Ok _ -> Alcotest.fail "a ROOT line after an op was accepted"
+
+(* A ROOT id read from a file may name a node of the tree; grafting under it
+   would leave two nodes with one id, so replay and the stored-script check
+   refuse it (the check used to loop forever on the config pair below). *)
+let test_script_io_root_collision () =
+  let dir = Filename.dirname Sys.executable_name in
+  let read path = In_channel.with_open_bin (Filename.concat dir path) In_channel.input_all in
+  let old_src = read "../examples/pairs/config.old.sexp" in
+  let _, ops = Script_io.of_string (read "fixtures/config.pre-root.script") in
+  let ops =
+    List.map
+      (function Op.Insert i when i.parent = 22 -> Op.Insert { i with parent = 1 } | op -> op)
+      ops
+  in
+  let t1 = Codec.parse (Tree.gen ()) old_src in
+  (match Script.apply ~dummy:1 t1 ops with
+  | _ -> Alcotest.fail "a dummy id naming a node was grafted"
+  | exception Script.Apply_error _ -> ());
+  let module Verb = Treediff_serve.Verb in
+  let src label text = { Verb.label; text } in
+  let req =
+    {
+      Verb.input = { Verb.format = Treediff_doc.Format.find_exn "sexp"; lenient = false };
+      artifact = Verb.Stored_script (src "s" (Script_io.to_string ~dummy:1 ops));
+    }
+  in
+  match
+    Verb.check req (src "old" old_src, src "new" (read "../examples/pairs/config.new.sexp"))
+  with
+  | Ok v ->
+    Alcotest.(check int) "one error finding" 1
+      (List.length (Treediff_check.Diag.errors v.Verb.diags))
+  | Error _ -> Alcotest.fail "check --script failed outright"
 
 let test_pp () =
   let s = Op.to_string (Op.Insert { id = 21; label = "S"; value = "g"; parent = 3; pos = 3 }) in
@@ -333,5 +423,8 @@ let () =
             test_script_io_error_context;
           Alcotest.test_case "result-typed parse" `Quick test_script_io_parse_result;
           QCheck_alcotest.to_alcotest script_io_roundtrip_prop;
+          Alcotest.test_case "pre-ROOT script file" `Quick test_script_io_pre_root_file;
+          Alcotest.test_case "ROOT naming a tree node" `Quick test_script_io_root_collision;
+          QCheck_alcotest.to_alcotest script_io_replay_prop;
         ] );
     ]

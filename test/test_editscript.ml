@@ -51,15 +51,10 @@ let generate t1 t2 =
 
 (* Replay the generated script against t1 (handling the dummy-root case). *)
 let replay (r : Edit_gen.result) t1 t2 =
-  let wrap id t =
-    let d = Node.make ~id ~label:"@@root" () in
-    Node.append_child d (Tree.copy t);
-    d
-  in
   let base, target =
     match r.Edit_gen.dummy with
     | None -> (Tree.copy t1, Tree.copy t2)
-    | Some (d1, d2) -> (wrap d1 t1, wrap d2 t2)
+    | Some (d1, d2) -> (Script.rooted ~dummy:d1 t1, Script.rooted ~dummy:d2 t2)
   in
   (Script.apply base r.Edit_gen.script, target)
 
@@ -481,12 +476,7 @@ let structural_minimality_prop =
       let t1b, t2b =
         match r.Edit_gen.dummy with
         | None -> (t1, t2)
-        | Some (d1, d2) ->
-          let w1 = Node.make ~id:d1 ~label:"@@root" () in
-          Node.append_child w1 (Tree.copy t1);
-          let w2 = Node.make ~id:d2 ~label:"@@root" () in
-          Node.append_child w2 (Tree.copy t2);
-          (w1, w2)
+        | Some (d1, d2) -> (Script.rooted ~dummy:d1 t1, Script.rooted ~dummy:d2 t2)
       in
       let mb = Matching.copy m in
       (match r.Edit_gen.dummy with
@@ -513,10 +503,7 @@ let prefix_application_prop =
       let base =
         match r.Edit_gen.dummy with
         | None -> Tree.copy t1
-        | Some (d1, _) ->
-          let w = Node.make ~id:d1 ~label:"@@root" () in
-          Node.append_child w (Tree.copy t1);
-          w
+        | Some (d1, _) -> Script.rooted ~dummy:d1 t1
       in
       let index = Tree.index_by_id base in
       List.for_all

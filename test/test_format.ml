@@ -709,6 +709,20 @@ let check_row h e =
     ("check --script", stored, check_text daemon_stored);
   ]
 
+(* The daemon's diff script replays through [treediff apply OLD], in
+   sequence and over two domains, to a tree isomorphic to NEW: the CLI
+   prints NEW as the format renders it, also when the roots went
+   unmatched. *)
+let apply_row h e =
+  let script = tmp_file (member_str e.stem "output" (daemon h "diff" (pair_fields e))) in
+  let replay flags =
+    cli_ok e.stem e.fmt (Printf.sprintf "apply %s %s %s" flags e.old_path script)
+  in
+  let sequential = replay "" and parallel = replay "-j 2" in
+  Sys.remove script;
+  let expected = e.fmt.Format.render (Format.parse e.fmt (Tree.gen ()) (read_file e.new_path)) in
+  [ ("apply", sequential, expected); ("apply -j 2", parallel, expected) ]
+
 (* Each front end commits the pair into its own archive, then reads it
    back: the CLI's tables carry the daemon's fields. *)
 let store_row h e =
@@ -810,6 +824,7 @@ let parity_table =
     ("summary mode, CLI and daemon", diff_row ~cli_flag:"--render summary" "summary");
     ("batch, CLI and daemon", batch_row);
     ("check, CLI and daemon", check_row);
+    ("daemon script, treediff apply", apply_row);
     ("store verbs, CLI and daemon", store_row);
   ]
 

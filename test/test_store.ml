@@ -45,11 +45,6 @@ let random_pair rng gen =
   let t2 = Treegen.perturb rng gen t1 in
   (t1, t2)
 
-let wrap_dummy d1 t =
-  let w = Node.make ~id:d1 ~label:"@@root" () in
-  Node.append_child w t;
-  w
-
 let rec rm_rf path =
   if Sys.file_exists path then
     if Sys.is_directory path then begin
@@ -189,11 +184,7 @@ let test_invert_property () =
         (d, d')
     in
     let r = Diff.diff t1 t2 in
-    let base =
-      match r.Diff.dummy with
-      | None -> t1
-      | Some (d1, _) -> wrap_dummy d1 (Tree.copy t1)
-    in
+    let base = Script.rooted ?dummy:(Option.map fst r.Diff.dummy) t1 in
     let inv = Script.invert base r.Diff.script in
     let after = Script.apply base r.Diff.script in
     let back = Script.apply after inv in
@@ -916,6 +907,45 @@ let test_cli_store () =
   Alcotest.(check bool) "from its base" true (contains ~sub:"verified 2 version" out);
   List.iter rm_rf [ arch; v0; v1; v2; s; m0; m2 ]
 
+(* A commit that renames the root leaves the roots unmatched, so its delta
+   is written against the §4.1 dummy root.  [Shard.script_of] returns that
+   dummy with the ops, and [store show] prints it as the script's ROOT line:
+   the printed body replays on version 0 (id-preserving) to version 1. *)
+let test_cli_store_show_root_change () =
+  let t = bin "treediff_cli" in
+  let arch = tmp_path "cli_root_archive" in
+  let v0 = tmp_path "cli_root_v0.sexp" and v1 = tmp_path "cli_root_v1.sexp" in
+  write_file v0 {|(D (P (S "alpha one") (S "beta two")) (P (S "gamma three")))|};
+  write_file v1 {|(E (P (S "alpha one") (S "beta two")) (P (S "gamma three")))|};
+  let ok what cmd =
+    let code, out = run cmd in
+    Alcotest.(check int) (what ^ " exit 0") 0 code;
+    out
+  in
+  ignore (ok "init" (Printf.sprintf "%s store init %s" t arch));
+  List.iter
+    (fun f -> ignore (ok "commit" (Printf.sprintf "%s store commit %s %s --doc d" t arch f)))
+    [ v0; v1 ];
+  let store = ok_exn "open" (Shard.open_ arch) in
+  let dummy, ops = ok_exn "script_of" (Shard.script_of store ~doc:"d" 1) in
+  Alcotest.(check bool) "the root-change delta is dummy-rooted" true (dummy <> None);
+  let out = ok "show" (Printf.sprintf "%s store show %s 1 --doc d" t arch) in
+  let nl = String.index out '\n' in
+  let body = String.sub out (nl + 1) (String.length out - nl - 1) in
+  Alcotest.(check string) "show prints the ROOT line and the ops"
+    (Treediff_edit.Script_io.to_string ?dummy ops) body;
+  let script = tmp_path "cli_root.script" in
+  write_file script body;
+  let m0 = tmp_path "cli_root_m0.bin" and out_bin = tmp_path "cli_root_out.bin" in
+  ignore (ok "materialize" (Printf.sprintf "%s store materialize %s 0 --doc d -f bin -o %s" t arch m0));
+  ignore (ok "apply" (Printf.sprintf "%s apply -f bin %s %s -o %s" t m0 script out_bin));
+  let replayed =
+    ok_exn "decode" (Result.map_error Codec.decode_error_to_string (Codec.decode (read_file out_bin)))
+  in
+  let expected = ok_exn "materialize 1" (Shard.materialize store ~doc:"d" 1) in
+  Alcotest.(check bool) "the shown script replays to version 1" true (Iso.equal replayed expected);
+  List.iter rm_rf [ arch; v0; v1; script; m0; out_bin ]
+
 let test_cli_store_fault_env () =
   let t = bin "treediff_cli" in
   let arch = tmp_path "cli_fault" in
@@ -1045,6 +1075,7 @@ let () =
         ( "cli",
           [
             quick "store end-to-end" test_cli_store;
+            quick "show a root-renaming commit, then apply it" test_cli_store_show_root_change;
             quick "TREEDIFF_FAULT crash and recovery" test_cli_store_fault_env;
             quick "aborted-commit warning names store gc" test_cli_aborted_warning;
             quick "migrate a legacy file" test_cli_migrate;
