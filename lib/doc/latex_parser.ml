@@ -21,43 +21,46 @@ let warn env fmt = Printf.ksprintf (fun s -> env.warnings <- s :: env.warnings) 
 
 let list_envs = [ "itemize"; "enumerate"; "description" ]
 
-(* Strip comments; keep \% as a literal. *)
+(* Strip comments; keep \% as a literal.  A '%' outside a comment starts
+   one unless a backslash precedes it, and a comment runs to the end of
+   its line, whose newline is kept.  The text between comments is copied
+   in bulk; a source without '%' is returned as it is. *)
 let strip_comments s =
-  let buf = Buffer.create (String.length s) in
   let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | '\\' when !i + 1 < n && s.[!i + 1] = '%' ->
-      Buffer.add_string buf "\\%";
-      incr i
-    | '%' ->
-      while !i < n && s.[!i] <> '\n' do
-        incr i
-      done;
-      if !i < n then Buffer.add_char buf '\n'
-    | c -> Buffer.add_char buf c);
-    incr i
-  done;
-  Buffer.contents buf
+  let rec next_comment i =
+    match String.index_from_opt s i '%' with
+    | Some p when p > 0 && s.[p - 1] = '\\' -> next_comment (p + 1)
+    | Some p -> p
+    | None -> n
+  in
+  let first = next_comment 0 in
+  if first = n then s
+  else begin
+    let buf = Buffer.create n in
+    let rec copy from comment =
+      Buffer.add_substring buf s from (comment - from);
+      if comment < n then
+        match String.index_from_opt s comment '\n' with
+        | None -> ()
+        | Some nl ->
+          Buffer.add_char buf '\n';
+          if nl + 1 < n then copy (nl + 1) (next_comment (nl + 1))
+    in
+    copy 0 first;
+    Buffer.contents buf
+  end
 
 let body s =
   let begin_doc = "\\begin{document}" in
   let end_doc = "\\end{document}" in
-  let find sub =
-    let rec search from =
-      if from + String.length sub > String.length s then None
-      else if String.sub s from (String.length sub) = sub then Some from
-      else search (from + 1)
-    in
-    search 0
-  in
-  match find begin_doc with
-  | None -> s
-  | Some b ->
+  match Scan.find_from s 0 begin_doc with
+  | -1 -> s
+  | b ->
     let start = b + String.length begin_doc in
     let stop =
-      match find end_doc with Some e when e >= start -> e | _ -> String.length s
+      match Scan.find_from s 0 end_doc with
+      | e when e >= start -> e
+      | _ -> String.length s
     in
     String.sub s start (stop - start)
 
@@ -92,18 +95,17 @@ let braced env s i =
     (Buffer.contents buf, !j)
   end
 
-let starts_with s i prefix =
-  i + String.length prefix <= String.length s && String.sub s i (String.length prefix) = prefix
-
 let tokenize env src =
   let s = body (strip_comments src) in
   let n = String.length s in
   let toks = ref [] in
   let text = Buffer.create 128 in
   let flush_text () =
-    let t = Buffer.contents text in
-    Buffer.clear text;
-    if String.trim t <> "" then toks := Text t :: !toks
+    if Buffer.length text > 0 then begin
+      let t = Buffer.contents text in
+      Buffer.clear text;
+      if not (Scan.is_blank t) then toks := Text t :: !toks
+    end
   in
   let i = ref 0 in
   while !i < n do
@@ -127,19 +129,19 @@ let tokenize env src =
       end
     end
     else if s.[!i] = '\\' then begin
-      if starts_with s !i "\\section" then begin
+      if Scan.prefix_at s !i "\\section" then begin
         flush_text ();
         let title, j = braced env s (!i + String.length "\\section") in
         toks := Sec (Sentence.normalize title) :: !toks;
         i := j
       end
-      else if starts_with s !i "\\subsection" then begin
+      else if Scan.prefix_at s !i "\\subsection" then begin
         flush_text ();
         let title, j = braced env s (!i + String.length "\\subsection") in
         toks := Subsec (Sentence.normalize title) :: !toks;
         i := j
       end
-      else if starts_with s !i "\\begin{" then begin
+      else if Scan.prefix_at s !i "\\begin{" then begin
         let env, j = braced env s (!i + String.length "\\begin") in
         if List.mem env list_envs then begin
           flush_text ();
@@ -152,7 +154,7 @@ let tokenize env src =
           i := j
         end
       end
-      else if starts_with s !i "\\end{" then begin
+      else if Scan.prefix_at s !i "\\end{" then begin
         let env, j = braced env s (!i + String.length "\\end") in
         if List.mem env list_envs then begin
           flush_text ();
@@ -164,7 +166,7 @@ let tokenize env src =
           i := j
         end
       end
-      else if starts_with s !i "\\item" then begin
+      else if Scan.prefix_at s !i "\\item" then begin
         flush_text ();
         toks := Item :: !toks;
         i := !i + String.length "\\item"
@@ -176,8 +178,12 @@ let tokenize env src =
       end
     end
     else begin
-      Buffer.add_char text s.[!i];
-      incr i
+      (* a text run, copied in bulk up to the next newline or command *)
+      let start = !i in
+      while !i < n && s.[!i] <> '\n' && s.[!i] <> '\\' do
+        incr i
+      done;
+      Buffer.add_substring text s start (!i - start)
     end
   done;
   flush_text ();
@@ -231,7 +237,9 @@ let rec parse_blocks env gen toks ~in_list =
       flush_para ();
       loop rest
     | Text t :: rest ->
-      Buffer.add_char para ' ';
+      (* the text only feeds [Sentence.split], which collapses whitespace:
+         a separator between pieces is enough *)
+      if Buffer.length para > 0 then Buffer.add_char para ' ';
       Buffer.add_string para t;
       loop rest
     | Begin_list :: rest ->

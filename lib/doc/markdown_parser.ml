@@ -15,8 +15,6 @@ let indent_of line =
   done;
   !i
 
-let is_blank line = String.trim line = ""
-
 (* [Some (level, title)] for an ATX heading line. *)
 let heading_of line =
   let n = String.length line in
@@ -45,9 +43,14 @@ let item_text_of line =
     else None
   end
 
+(* The line, trimmed, starts with three backticks. *)
 let is_fence line =
-  let t = String.trim line in
-  String.length t >= 3 && String.sub t 0 3 = "```"
+  let n = String.length line in
+  let i = ref 0 in
+  while !i < n && Scan.is_trim_space line.[!i] do
+    incr i
+  done;
+  Scan.prefix_at line !i "```"
 
 (* ----------------------------------------------------------------- parse *)
 
@@ -65,6 +68,13 @@ let parse_env env gen src =
   (* innermost open list first *)
   let lists = ref ([] : frame list) in
   let para = Buffer.create 128 in
+  (* Paragraph text only feeds [Sentence.split], which collapses
+     whitespace; a separator goes before each piece, not after, so a
+     one-line paragraph reaches it already normalized. *)
+  let add_para s =
+    if Buffer.length para > 0 then Buffer.add_char para ' ';
+    Scan.add_trimmed para s
+  in
   let block_container () =
     match (!cur_sub, !cur_section) with
     | Some s, _ -> s
@@ -128,11 +138,7 @@ let parse_env env gen src =
       Node.append_child f.list_node it;
       f.item <- Some it
     | [] -> assert false);
-    let text = String.trim text in
-    if text <> "" then begin
-      Buffer.add_string para text;
-      Buffer.add_char para ' '
-    end
+    add_para text
   in
   let heading level title =
     flush_para ();
@@ -173,10 +179,9 @@ let parse_env env gen src =
       end
       else if !in_fence then begin
         (* code becomes plain paragraph text: it diffs fine as words *)
-        Buffer.add_string para (String.trim line);
-        Buffer.add_char para ' '
+        add_para line
       end
-      else if is_blank line then flush_para ()
+      else if Scan.is_blank line then flush_para ()
       else
         match heading_of line with
         | Some (1, title) -> heading 1 title
@@ -186,8 +191,7 @@ let parse_env env gen src =
           | Some text -> open_item ~indent:(indent_of line) text
           | None ->
             if !lists <> [] then pop_lists_to (indent_of line);
-            Buffer.add_string para (String.trim line);
-            Buffer.add_char para ' '))
+            add_para line))
     lines;
   if !in_fence then begin
     if env.lenient then warn env "code fence not closed at end of input"

@@ -25,20 +25,25 @@ let warn st pos fmt =
       st.warnings <- Printf.sprintf "at offset %d: %s" pos m :: st.warnings)
     fmt
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* The scanner reads [st.src] in place: prefix tests compare bytes where
+   they stand, text and attribute runs are copied in bulk, and a
+   lookahead for a terminator is bounded by what the construct allows. *)
 
-let starts_with st s =
-  st.pos + String.length s <= String.length st.src
-  && String.sub st.src st.pos (String.length s) = s
+let at_end st = st.pos >= String.length st.src
+
+(* The byte at the cursor; callers check [at_end] first. *)
+let byte st = st.src.[st.pos]
+
+let at_byte st c = (not (at_end st)) && byte st = c
+
+let starts_with st s = Scan.prefix_at st.src st.pos s
 
 let advance st n = st.pos <- st.pos + n
 
+let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
 let skip_ws st =
-  while
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') -> true
-    | _ -> false
-  do
+  while (not (at_end st)) && is_ws (byte st) do
     advance st 1
   done
 
@@ -47,31 +52,42 @@ let is_name_char c =
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' | ':' -> true
   | _ -> false
 
-let name st =
+let at_name st = (not (at_end st)) && is_name_char (byte st)
+
+(* Move past a run of name bytes; [fail] if there is none. *)
+let skip_name st =
   let start = st.pos in
-  while (match peek st with Some c when is_name_char c -> true | _ -> false) do
+  while at_name st do
     advance st 1
   done;
-  if st.pos = start then fail start "expected a name";
+  if st.pos = start then fail start "expected a name"
+
+let name st =
+  let start = st.pos in
+  skip_name st;
   String.sub st.src start (st.pos - start)
+
+(* The longest entity body is 8 bytes ("#x10FFFF"), so the closing ';'
+   is looked for in that window only, never to the end of the input. *)
+let max_entity = 8
 
 let decode_entity st =
   (* at '&' *)
   let start = st.pos in
   advance st 1;
-  let stop =
-    match String.index_from_opt st.src st.pos ';' with
-    | Some i when i - st.pos <= 8 -> Some i
-    | _ ->
-      if st.lenient then begin
-        warn st start "unterminated entity reference";
-        None
-      end
-      else fail start "unterminated entity reference"
-  in
-  match stop with
-  | None -> "&" (* lenient: keep the ampersand as literal text *)
-  | Some stop -> (
+  let limit = min (String.length st.src) (st.pos + max_entity + 1) in
+  let stop = ref st.pos in
+  while !stop < limit && st.src.[!stop] <> ';' do
+    incr stop
+  done;
+  let stop = !stop in
+  if stop >= limit then
+    if st.lenient then begin
+      warn st start "unterminated entity reference";
+      "&" (* lenient: keep the ampersand as literal text *)
+    end
+    else fail start "unterminated entity reference"
+  else begin
   let body = String.sub st.src st.pos (stop - st.pos) in
   st.pos <- stop + 1;
   match body with
@@ -119,101 +135,90 @@ let decode_entity st =
       warn st start "unknown entity &%s;" body;
       "&" ^ body ^ ";"
     end
-    else fail start "unknown entity &%s;" body)
+    else fail start "unknown entity &%s;" body
+  end
 
-let attr_value st =
-  match peek st with
-  | Some (('"' | '\'') as quote) ->
+(* Append [s.[start .. stop - 1]] to [buf] escaped for a double-quoted
+   attribute value, copying the runs between escapes in bulk. *)
+let add_escaped_attr buf s start stop =
+  let from = ref start in
+  for i = start to stop - 1 do
+    match s.[i] with
+    | ('&' | '<' | '"') as c ->
+      Buffer.add_substring buf s !from (i - !from);
+      Buffer.add_string buf
+        (match c with '&' -> "&amp;" | '<' -> "&lt;" | _ -> "&quot;");
+      from := i + 1
+    | _ -> ()
+  done;
+  Buffer.add_substring buf s !from (stop - !from)
+
+(* Move the cursor to the first byte satisfying [stop] (or the end) and
+   append the bytes passed over to [buf], escaped. *)
+let copy_run_escaped st buf stop =
+  let start = st.pos in
+  while (not (at_end st)) && not (stop (byte st)) do
+    advance st 1
+  done;
+  add_escaped_attr buf st.src start st.pos
+
+(* Decode one attribute value into [buf], escaped. *)
+let attr_value st buf =
+  if at_byte st '"' || at_byte st '\'' then begin
+    let quote = byte st in
     advance st 1;
-    let buf = Buffer.create 16 in
     let rec loop () =
-      match peek st with
-      | None ->
+      if at_end st then begin
         if st.lenient then warn st st.pos "unterminated attribute value"
         else fail st.pos "unterminated attribute value"
-      | Some c when c = quote -> advance st 1
-      | Some '&' ->
-        Buffer.add_string buf (decode_entity st);
+      end
+      else if byte st = quote then advance st 1
+      else if byte st = '&' then begin
+        let d = decode_entity st in
+        add_escaped_attr buf d 0 (String.length d);
         loop ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance st 1;
+      end
+      else begin
+        copy_run_escaped st buf (fun c -> c = quote || c = '&');
         loop ()
+      end
     in
-    loop ();
-    Buffer.contents buf
-  | _ ->
-    if st.lenient then begin
-      (* bare attribute value: read up to whitespace or tag end *)
-      warn st st.pos "expected a quoted attribute value";
-      let buf = Buffer.create 16 in
-      let rec bare () =
-        match peek st with
-        | Some (' ' | '\t' | '\n' | '\r' | '>' | '/') | None -> ()
-        | Some c ->
-          Buffer.add_char buf c;
-          advance st 1;
-          bare ()
-      in
-      bare ();
-      Buffer.contents buf
-    end
-    else fail st.pos "expected a quoted attribute value"
+    loop ()
+  end
+  else if st.lenient then begin
+    (* bare attribute value: read up to whitespace or tag end *)
+    warn st st.pos "expected a quoted attribute value";
+    copy_run_escaped st buf (fun c -> is_ws c || c = '>' || c = '/')
+  end
+  else fail st.pos "expected a quoted attribute value"
 
-let attributes st =
-  let attrs = ref [] in
+(* The node value of a tag's attributes: [k="v"] pairs in document order,
+   one space apart, each value escaped.  Written straight into [buf]
+   (cleared first), with no per-attribute string. *)
+let attributes st buf =
+  Buffer.clear buf;
   let rec loop () =
     skip_ws st;
-    match peek st with
-    | Some c when is_name_char c ->
-      let k = name st in
+    if at_name st then begin
+      let start = st.pos in
+      skip_name st;
+      if Buffer.length buf > 0 then Buffer.add_char buf ' ';
+      Buffer.add_substring buf st.src start (st.pos - start);
+      Buffer.add_string buf "=\"";
       skip_ws st;
-      (match peek st with
-      | Some '=' ->
+      if at_byte st '=' then begin
         advance st 1;
         skip_ws st;
-        let v = attr_value st in
-        attrs := (k, v) :: !attrs
-      | _ -> attrs := (k, "") :: !attrs);
+        attr_value st buf
+      end;
+      Buffer.add_char buf '"';
       loop ()
-    | _ -> ()
+    end
   in
   loop ();
-  List.rev !attrs
-
-let escape_attr v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
-let attrs_to_value attrs =
-  String.concat " "
-    (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_attr v)) attrs)
+  if Buffer.length buf = 0 then "" else Buffer.contents buf
 
 (* ------------------------------------------------------------- document *)
-
-let normalize_text s =
-  let buf = Buffer.create (String.length s) in
-  let pending = ref false in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' | '\n' | '\r' -> if Buffer.length buf > 0 then pending := true
-      | c ->
-        if !pending then begin
-          Buffer.add_char buf ' ';
-          pending := false
-        end;
-        Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let parse_state st gen =
   let src = st.src in
@@ -222,23 +227,16 @@ let parse_state st gen =
     let rec loop () =
       skip_ws st;
       if starts_with st "<!--" then begin
-        match
-          let rec find i =
-            if i + 3 > String.length src then None
-            else if String.sub src i 3 = "-->" then Some i
-            else find (i + 1)
-          in
-          find (st.pos + 4)
-        with
-        | Some i ->
-          st.pos <- i + 3;
-          loop ()
-        | None ->
+        match Scan.find_from src (st.pos + 4) "-->" with
+        | -1 ->
           if st.lenient then begin
             warn st st.pos "unterminated comment";
             st.pos <- String.length src
           end
           else fail st.pos "unterminated comment"
+        | i ->
+          st.pos <- i + 3;
+          loop ()
       end
       else if starts_with st "<?" then begin
         match String.index_from_opt src st.pos '>' with
@@ -267,12 +265,18 @@ let parse_state st gen =
     in
     loop ()
   in
-  let flush_text node buf =
-    let t = normalize_text (Buffer.contents buf) in
-    Buffer.clear buf;
-    if t <> "" then Node.append_child node (Tree.leaf gen text_label t)
+  (* One text buffer and one attribute buffer serve the whole document:
+     text is flushed before a child element starts and before an element
+     ends, so the buffer is empty whenever control changes elements. *)
+  let buf = Buffer.create 64 in
+  let attr_buf = Buffer.create 64 in
+  let flush_text node =
+    if Buffer.length buf > 0 then begin
+      let t = Sentence.normalize (Buffer.contents buf) in
+      Buffer.clear buf;
+      if t <> "" then Node.append_child node (Tree.leaf gen text_label t)
+    end
   in
-  let at_name st = match peek st with Some c -> is_name_char c | None -> false in
   (* [fill node closer] parses mixed content into [node].  [closer] is
      [Some (tag, open_pos)] inside an element, [None] for the lenient
      top-level forest scan. *)
@@ -281,14 +285,14 @@ let parse_state st gen =
     let open_pos = st.pos in
     advance st 1;
     let tag = name st in
-    let attrs = attributes st in
+    let value = attributes st attr_buf in
     skip_ws st;
-    let node = Tree.node gen tag ~value:(attrs_to_value attrs) [] in
+    let node = Tree.node gen tag ~value [] in
     if starts_with st "/>" then begin
       advance st 2;
       node
     end
-    else if peek st = Some '>' then begin
+    else if at_byte st '>' then begin
       advance st 1;
       fill node (Some (tag, open_pos));
       node
@@ -304,20 +308,20 @@ let parse_state st gen =
     end
     else fail st.pos "expected '>' or '/>' in tag <%s>" tag
   and fill node closer =
-    let buf = Buffer.create 64 in
+    let top_level = Option.is_none closer in
     let rec content () =
-      if st.pos >= String.length src then begin
+      if at_end st then begin
         match closer with
         | Some (tag, open_pos) ->
           if st.lenient then begin
             warn st open_pos "element <%s> is never closed" tag;
-            flush_text node buf
+            flush_text node
           end
           else fail open_pos "element <%s> is never closed" tag
-        | None -> flush_text node buf
+        | None -> flush_text node
       end
       else if starts_with st "</" then begin
-        flush_text node buf;
+        flush_text node;
         let close_pos = st.pos in
         advance st 2;
         if st.lenient && not (at_name st) then begin
@@ -330,16 +334,14 @@ let parse_state st gen =
         else begin
           let close = name st in
           skip_ws st;
-          (match peek st with
-          | Some '>' -> advance st 1
-          | _ ->
-            if st.lenient then begin
-              warn st st.pos "expected '>' in closing tag";
-              match String.index_from_opt src st.pos '>' with
-              | Some i -> st.pos <- i + 1
-              | None -> st.pos <- String.length src
-            end
-            else fail st.pos "expected '>' in closing tag");
+          (if at_byte st '>' then advance st 1
+           else if st.lenient then begin
+             warn st st.pos "expected '>' in closing tag";
+             match String.index_from_opt src st.pos '>' with
+             | Some i -> st.pos <- i + 1
+             | None -> st.pos <- String.length src
+           end
+           else fail st.pos "expected '>' in closing tag");
           match closer with
           | Some (tag, open_pos) ->
             if close <> tag then
@@ -356,34 +358,29 @@ let parse_state st gen =
       else if starts_with st "<![CDATA[" then begin
         advance st 9;
         let limit = String.length src in
-        let rec find i =
-          if i + 3 > limit then None
-          else if String.sub src i 3 = "]]>" then Some i
-          else find (i + 1)
-        in
-        (match find st.pos with
-        | Some stop ->
-          Buffer.add_string buf (String.sub src st.pos (stop - st.pos));
-          st.pos <- stop + 3
-        | None ->
+        (match Scan.find_from src st.pos "]]>" with
+        | -1 ->
           if st.lenient then begin
             warn st st.pos "unterminated CDATA";
-            Buffer.add_string buf (String.sub src st.pos (limit - st.pos));
+            Buffer.add_substring buf src st.pos (limit - st.pos);
             st.pos <- limit
           end
-          else fail st.pos "unterminated CDATA");
+          else fail st.pos "unterminated CDATA"
+        | stop ->
+          Buffer.add_substring buf src st.pos (stop - st.pos);
+          st.pos <- stop + 3);
         content ()
       end
       else if
         starts_with st "<!--" || starts_with st "<?"
-        || (closer = None
+        || (top_level
            && (starts_with st "<!DOCTYPE" || starts_with st "<!doctype"))
       then begin
-        flush_text node buf;
+        flush_text node;
         skip_misc ();
         content ()
       end
-      else if peek st = Some '<' then
+      else if byte st = '<' then
         if st.lenient && not (st.pos + 1 < String.length src && is_name_char src.[st.pos + 1])
         then begin
           (* stray '<' that opens no tag: literal text *)
@@ -392,17 +389,21 @@ let parse_state st gen =
           content ()
         end
         else begin
-          flush_text node buf;
+          flush_text node;
           Node.append_child node (element ());
           content ()
         end
-      else if peek st = Some '&' then begin
+      else if byte st = '&' then begin
         Buffer.add_string buf (decode_entity st);
         content ()
       end
       else begin
-        Buffer.add_char buf (Option.get (peek st));
-        advance st 1;
+        (* a text run, copied in bulk up to the next markup or entity *)
+        let start = st.pos in
+        while (not (at_end st)) && byte st <> '<' && byte st <> '&' do
+          advance st 1
+        done;
+        Buffer.add_substring buf src start (st.pos - start);
         content ()
       end
     in
@@ -426,7 +427,7 @@ let parse_state st gen =
   end
   else begin
     skip_misc ();
-    if peek st <> Some '<' then fail st.pos "expected a root element";
+    if not (at_byte st '<') then fail st.pos "expected a root element";
     let root = element () in
     skip_misc ();
     if st.pos <> String.length src then

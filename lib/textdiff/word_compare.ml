@@ -5,6 +5,16 @@ let is_word_char c =
   | c when Char.code c >= 0x80 -> true
   | _ -> false
 
+(* [fold.[Char.code c]] is [c] lowercased when [c] is a word byte and
+   ['\000'] (not a word byte) otherwise: one load classifies a byte and
+   lowercases it. *)
+let fold =
+  String.init 256 (fun i ->
+      let c = Char.chr i in
+      if is_word_char c then Char.lowercase_ascii c else '\000')
+
+let fold_at s i = String.unsafe_get fold (Char.code s.[i])
+
 (* Lowercasing the whole string once and then slicing equals slicing and
    then lowercasing each word ([lowercase_ascii] is a byte-wise map); the
    two-pass scan fills an exact-size array with no intermediate list. *)
@@ -44,25 +54,134 @@ let words s =
    kernel's probes are integer comparisons.  [masks] is the bit-parallel
    kernel's per-word scratch: indexed by word id, grown with the interner,
    all zeros between calls, and kept across [clear] (ids restart from 0,
-   and a zeroed table serves any generation). *)
+   and a zeroed table serves any generation).
+
+   The interner is an open-addressing table over the words' lowercased
+   bytes, so [tokenize] looks a word up where it stands in the input and
+   makes a string only for a word it has not seen.  Ids are given in
+   order of first appearance: the ids that interning [words s] one word
+   at a time would give. *)
 module Vocab = struct
-  type t = { ids : (string, int) Hashtbl.t; mutable masks : int array }
+  type t = {
+    mutable slots : int array;  (* word id, or -1 for an empty slot *)
+    mutable words : string array;  (* id -> word *)
+    mutable hashes : int array;  (* id -> hash of the word *)
+    mutable count : int;
+    mutable ids : int array;  (* scratch: the ids of the string in hand *)
+    mutable masks : int array;
+  }
 
-  let create () = { ids = Hashtbl.create 256; masks = Array.make 256 0 }
+  (* Small, so that a vocabulary starts in the minor heap (a criteria ctx
+     makes one per diff); the table doubles as words arrive. *)
+  let initial_slots = 64
 
-  let size v = Hashtbl.length v.ids
+  let create () =
+    {
+      slots = Array.make initial_slots (-1);
+      words = Array.make (initial_slots / 2) "";
+      hashes = Array.make (initial_slots / 2) 0;
+      count = 0;
+      ids = Array.make 16 0;
+      masks = Array.make 256 0;
+    }
 
-  let clear v = Hashtbl.reset v.ids
+  let size v = v.count
 
-  let intern v w =
-    match Hashtbl.find_opt v.ids w with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length v.ids in
-      Hashtbl.replace v.ids w i;
-      i
+  let clear v =
+    v.slots <- Array.make initial_slots (-1);
+    v.words <- Array.make (initial_slots / 2) "";
+    v.hashes <- Array.make (initial_slots / 2) 0;
+    v.count <- 0
 
-  let tokenize v s = Array.map (intern v) (words s)
+  (* FNV-1a over the lowercased bytes (its 64-bit basis cut to fit an
+     OCaml int); [slot] folds the high bits in. *)
+  let fnv_basis = 0x0bf29ce484222325
+
+  let fnv_step h c = (h lxor Char.code c) * 0x100000001b3
+
+  let slot v h = (h lxor (h lsr 32)) land (Array.length v.slots - 1)
+
+  (* The table stays at most half full: twice the slots, same words. *)
+  let grow v =
+    let cap = 2 * Array.length v.slots in
+    v.slots <- Array.make cap (-1);
+    for id = 0 to v.count - 1 do
+      let j = ref (slot v v.hashes.(id)) in
+      while v.slots.(!j) >= 0 do
+        j := (!j + 1) land (cap - 1)
+      done;
+      v.slots.(!j) <- id
+    done;
+    let words = Array.make (cap / 2) "" and hashes = Array.make (cap / 2) 0 in
+    Array.blit v.words 0 words 0 v.count;
+    Array.blit v.hashes 0 hashes 0 v.count;
+    v.words <- words;
+    v.hashes <- hashes
+
+  (* [w] equals [s.[start .. stop - 1]] lowercased. *)
+  let same_word w s start stop =
+    let m = String.length w in
+    m = stop - start
+    &&
+    let k = ref 0 in
+    while !k < m && String.unsafe_get w !k = fold_at s (start + !k) do
+      incr k
+    done;
+    !k = m
+
+  (* Intern the lowercased word [s.[start .. stop - 1]], of hash [h], at
+     the empty slot [j]. *)
+  let add_word v j s start stop h =
+    let id = v.count in
+    v.slots.(j) <- id;
+    v.words.(id) <- String.init (stop - start) (fun k -> fold_at s (start + k));
+    v.hashes.(id) <- h;
+    v.count <- id + 1;
+    if 2 * v.count >= Array.length v.slots then grow v;
+    id
+
+  (* The id of the lowercased word [s.[start .. stop - 1]] with hash [h],
+     interning it if new.  A loop, not a local recursive function, so a
+     lookup allocates nothing. *)
+  let intern_slice v s start stop h =
+    let mask = Array.length v.slots - 1 in
+    let j = ref (slot v h) and found = ref (-1) in
+    while !found < 0 do
+      let id = v.slots.(!j) in
+      if id < 0 then found := add_word v !j s start stop h
+      else if v.hashes.(id) = h && same_word v.words.(id) s start stop then found := id
+      else j := (!j + 1) land mask
+    done;
+    !found
+
+  let push v k id =
+    if k >= Array.length v.ids then begin
+      let ids = Array.make (2 * k) 0 in
+      Array.blit v.ids 0 ids 0 k;
+      v.ids <- ids
+    end;
+    v.ids.(k) <- id
+
+  (* One pass: each word is hashed while its end is found, then looked up
+     in place. *)
+  let tokenize v s =
+    let n = String.length s in
+    let k = ref 0 and i = ref 0 in
+    while !i < n do
+      while !i < n && fold_at s !i = '\000' do
+        incr i
+      done;
+      if !i < n then begin
+        let start = !i and h = ref fnv_basis in
+        while !i < n && fold_at s !i <> '\000' do
+          h := fnv_step !h (fold_at s !i);
+          incr i
+        done;
+        push v !k (intern_slice v s start !i !h);
+        incr k
+      end
+    done;
+    Array.sub v.ids 0 !k
 end
 
 (* Word LCS length: the bit-parallel kernel whenever the shorter sentence

@@ -44,6 +44,28 @@ let test_split_quotes () =
     [ {|He said "stop." |} |> String.trim; "Then left." ]
     (Sentence.split {|He said "stop." Then left.|})
 
+(* A run of terminators splits in linear time: the word before a
+   terminator is read only where the terminator ends a sentence.  Each
+   input here is 200 KB; when every dot re-read its word back to the
+   previous space, this test ran for over 30 s. *)
+let test_split_terminator_run () =
+  let dots = String.make 200_000 '.' in
+  let mixed = String.init 200_000 (fun i -> ".!?".[i mod 3]) in
+  Alcotest.(check (list string)) "dots are one sentence" [ dots ] (Sentence.split dots);
+  Alcotest.(check (list string)) "mixed run is one sentence" [ mixed ]
+    (Sentence.split mixed);
+  let sentences (f : Treediff_doc.Format.t) src =
+    match f.Treediff_doc.Format.parse_result ~lenient:false (Tree.gen ()) src with
+    | Ok (t, _) -> List.map (fun (l : Node.t) -> l.Node.value) (Node.leaves t)
+    | Error e -> Alcotest.failf "%s: %s" f.Treediff_doc.Format.name e
+  in
+  List.iter
+    (fun ((f : Treediff_doc.Format.t), src) ->
+      Alcotest.(check (list string)) (f.Treediff_doc.Format.name ^ " paragraph of dots")
+        [ dots ] (sentences f src))
+    Treediff_doc.Format.
+      [ (latex, dots ^ "\n"); (markdown, dots ^ "\n"); (html, "<p>" ^ dots ^ "</p>") ]
+
 (* ----------------------------------------------------------------- latex *)
 
 let sample_latex =
@@ -352,6 +374,23 @@ let test_xml_errors () =
   Alcotest.(check bool) "bad entity" true (fails "<a>&bogus;</a>");
   Alcotest.(check bool) "unterminated comment" true (fails "<!-- oops <a/>")
 
+(* The closing ';' of an entity is looked for only as far as the longest
+   entity body reaches.  A lenient run of bare '&' keeps one warning per
+   '&' (1 000 for 1 000, as before the bound) and its text, and takes
+   linear time: when each '&' looked for a ';' to the end of the input,
+   this test took 18 s. *)
+let test_xml_ampersand_run () =
+  let warnings n =
+    let amps = String.make n '&' in
+    match Xml.parse_result ~lenient:true (Tree.gen ()) ("<r>" ^ amps ^ "</r>") with
+    | Ok (t, w) ->
+      Alcotest.(check string) "ampersands kept as text" amps (Node.child t 0).Node.value;
+      List.length w
+    | Error e -> Alcotest.failf "lenient parse failed: %s" e
+  in
+  Alcotest.(check int) "one warning per '&'" 1_000 (warnings 1_000);
+  Alcotest.(check int) "200 000 '&'" 200_000 (warnings 200_000)
+
 let test_xml_roundtrip () =
   let gen = Tree.gen () in
   let src = {|<cat a="1"><x b="2">text one</x><y/><z>more &amp; text</z></cat>|} in
@@ -466,6 +505,7 @@ let () =
           Alcotest.test_case "split" `Quick test_split_simple;
           Alcotest.test_case "abbreviations" `Quick test_split_abbreviations;
           Alcotest.test_case "quotes" `Quick test_split_quotes;
+          Alcotest.test_case "terminator run, linear" `Quick test_split_terminator_run;
         ] );
       ( "latex",
         [
@@ -503,6 +543,7 @@ let () =
           Alcotest.test_case "structure" `Quick test_xml_structure;
           Alcotest.test_case "entities and cdata" `Quick test_xml_entities_and_cdata;
           Alcotest.test_case "errors" `Quick test_xml_errors;
+          Alcotest.test_case "ampersand run, linear" `Quick test_xml_ampersand_run;
           Alcotest.test_case "round-trip" `Quick test_xml_roundtrip;
           Alcotest.test_case "diff end to end" `Quick test_xml_diff_end_to_end;
         ] );

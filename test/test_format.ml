@@ -11,6 +11,10 @@
    - round-trip through the version store (commit + materialize) with
      byte-identical rendering.
 
+   The text front ends (latex, markdown, xml, html) must also read a
+   seeded corpus and a set of hand-written inputs to recorded digests of
+   the same trees and warnings.
+
    The suite also pins the satellite guarantees: CLI and daemon report the
    {e exact same} registry error text for an unknown format name, the
    side-by-side and summary renderers work from both entry points, and
@@ -868,6 +872,160 @@ let test_fixture_walkthrough () =
   Alcotest.(check bool) "ladiff -f xml produces a summary" true
     (String.length (String.trim out) > 0)
 
+(* ------------------------------------------------ front-end golden digests *)
+
+(* What the text front ends read from a fixed set of inputs, pinned as
+   digests recorded before their scanners stopped allocating per byte:
+   each tree's [Iso.hash] and each warning list or error, folded per
+   (format, input set, mode).  A scanner rewrite must keep every digest;
+   they are recorded, not derived. *)
+
+module Docgen = Treediff_workload.Docgen
+module Binio = Treediff_util.Binio
+
+let golden_formats = [ Format.latex; Format.markdown; Format.xml; Format.html ]
+
+(* Every Docgen profile, with and without near-duplicate sentences, three
+   documents each. *)
+let golden_corpus =
+  lazy
+    (let g = Prng.create 27 in
+     List.concat_map
+       (fun profile ->
+         List.concat_map
+           (fun duplicate_rate ->
+             List.init 3 (fun _ ->
+                 Docgen.generate g (Tree.gen ()) { profile with Docgen.duplicate_rate }))
+           [ 0.0; 0.2 ])
+       [ Docgen.small; Docgen.medium; Docgen.large ])
+
+(* Hand-written inputs that reach the scanners' rarer paths: entities and
+   character references, CDATA, comments, escaped percent signs, fences,
+   CRLF lines, abbreviations and terminator runs, and malformed input of
+   each kind lenient mode repairs. *)
+let golden_extra (f : Format.t) =
+  if f == Format.xml then
+    [
+      "<r a='x\"y' b=\"1 &amp; 2\" c=\"&#x263A;&#65;\" d = \"sp\" e><![CDATA[a <b> & c]]> \
+       text &lt;tag&gt; &quot;q&apos; <!-- c --> <?pi x?> tail\t\n more</r>";
+      "<?xml version=\"1.0\"?>\n<!DOCTYPE r>\n<r><e k=v/><x>&bogus; & &#xZZ; &#99999999;</x></r>";
+      "<r><!-- never closed";
+      "<r><![CDATA[open";
+      "<r x=\"unterminated";
+      "<r>a < b</r>";
+      "</stray><a>1</a><b>2</b>";
+      "<a>1</b>";
+      "<a ";
+      "<a>x</ a>";
+      "<a>x</a junk>";
+      "<r>" ^ String.make 40 '&' ^ "&&&&; &123456789; &#1234567;</r>";
+      "  <r>\n  <p>  spaced\n\n text  </p>\n</r>  ";
+    ]
+  else if f == Format.latex then
+    [
+      "\\documentclass{article}\n% pre\n\\begin{document}\nA 50\\% rise. Next one.\\\\% \
+       comment here\nLine two % trailing\n\\section{T\\%itle}\n\nPara one. Para two!\n\
+       \\end{document}\ntrailing junk";
+      "\\end{document}\\begin{document}Body text.\\end{document}";
+      "\\section{S}\n\n\\begin{figure}x\\end{figure} Some text e.g. this. Dr. Who is here. \
+       A. B. Smith wrote it.\n\n\\begin{enumerate}\n\\item One.\n\\item Two. \\unknown{cmd} \
+       text\n\\end{enumerate}\n\n\\subsection{Sub}\n\nTail text?\t\"Quoted.\" (Paren.) \
+       [Bracket.]\n";
+      "%only a comment";
+      "text % comment\n%\n%%\nmore";
+      "\\item stray";
+      "\\end{itemize}";
+      "\\subsection{x}\n\ny";
+      "\\begin{itemize}\n\\item a\n";
+      "\\section{a";
+      String.make 300 '.' ^ " a.b.c. d!? e?! (i.e. x) 'no.' St. Ives.";
+    ]
+  else if f == Format.markdown then
+    [
+      "# H1\n\nPara one.  Two spaces.\tTab.\r\n\r\n## H2\r\n\r\n- item one\n  - nested item\n\
+      \    - deeper\n1. numbered\n2. second\n\n```\ncode line\n  indented\n```\n  \
+       ```not fence?\n``\nafter\n#NoSpace\n####### seven\n";
+      "```\nunclosed fence";
+      "   \t  \n\n# Only\n\n   leading spaces text.  \n";
+      "- a\n\n  continued para\n- b\n";
+      "# T\n\n" ^ String.make 300 '.' ^ " a.b.c. d!? e?! (e.g. x) 'no.' Mr. X.\n";
+    ]
+  else
+    [
+      "<h1>T</h1><p>Mr. Smith e.g. went. Really?! Yes.</p><ul><li>One.</li><li><p>Two. \
+       Three.</p></li></ul><h2>S</h2><p>a &amp; b &lt; c</p>";
+      "<p>unclosed";
+      "<h1>D</h1><p>" ^ String.make 300 '.' ^ " a.b.c. d!? e?!</p>";
+    ]
+
+(* The inputs the conformance and fault suites already use. *)
+let golden_fixtures (f : Format.t) =
+  let o, n = pair f in
+  let fault =
+    if f == Format.xml then [ {|<a><b>one<c>two</a>|} ]
+    else if f == Format.latex then
+      [ "\\begin{itemize} stray text, no item\n\\section{Hm}\ntail." ]
+    else if f == Format.html then [ "<ul><p>not a list item</p></ul>" ]
+    else []
+  in
+  (o :: n :: broken f) @ fault @ golden_extra f
+
+let golden_digest (f : Format.t) ~lenient srcs =
+  List.fold_left
+    (fun h src ->
+      let line =
+        match f.Format.parse_result ~lenient (Tree.gen ()) src with
+        | Ok (t, warnings) ->
+          String.concat "\n"
+            (Printf.sprintf "%016Lx" (Treediff_tree.Iso.hash t) :: warnings)
+        | Error m -> "error: " ^ m
+      in
+      Binio.fnv_string (Binio.fnv_int h (String.length line)) line)
+    Binio.fnv_init srcs
+
+let golden_actual () =
+  List.concat_map
+    (fun (f : Format.t) ->
+      let corpus = List.map f.Format.render (Lazy.force golden_corpus) in
+      List.concat_map
+        (fun (set, srcs) ->
+          List.map
+            (fun lenient ->
+              ( Printf.sprintf "%s %s %s" f.Format.name set
+                  (if lenient then "lenient" else "strict"),
+                golden_digest f ~lenient srcs ))
+            [ false; true ])
+        [ ("corpus", corpus); ("fixtures", golden_fixtures f) ])
+    golden_formats
+
+let golden_expected =
+  [
+      ("latex corpus strict", 0xb80fff99a204b884L);
+      ("latex corpus lenient", 0xb80fff99a204b884L);
+      ("latex fixtures strict", 0xed5e9530779924c0L);
+      ("latex fixtures lenient", 0x928f347d461cf2dcL);
+      ("markdown corpus strict", 0xdaf8ca541de020baL);
+      ("markdown corpus lenient", 0xdaf8ca541de020baL);
+      ("markdown fixtures strict", 0x407858831df5a222L);
+      ("markdown fixtures lenient", 0x1f41f578dd85f0c8L);
+      ("xml corpus strict", 0x07d1290d562aab06L);
+      ("xml corpus lenient", 0x07d1290d562aab06L);
+      ("xml fixtures strict", 0x8b1dbb9a38870b07L);
+      ("xml fixtures lenient", 0x0657ee10bdce5bd4L);
+      ("html corpus strict", 0xb80fff99a204b884L);
+      ("html corpus lenient", 0xb80fff99a204b884L);
+      ("html fixtures strict", 0x5585e15d17ad2decL);
+      ("html fixtures lenient", 0x26c3c9d75ae7430eL);
+  ]
+
+let test_golden () =
+  List.iter2
+    (fun (name, want) (name', got) ->
+      Alcotest.(check string) "golden case" name name';
+      Alcotest.(check string) name (Printf.sprintf "%016Lx" want)
+        (Printf.sprintf "%016Lx" got))
+    golden_expected (golden_actual ())
+
 let () =
   Alcotest.run "format registry"
     [
@@ -884,6 +1042,7 @@ let () =
           Alcotest.test_case "treediff check self-check" `Quick test_check_self;
           Alcotest.test_case "store round-trip" `Quick test_store_roundtrip;
           Alcotest.test_case "store CLI fixtures" `Quick test_store_cli_fixtures;
+          Alcotest.test_case "front-end golden digests" `Quick test_golden;
         ] );
       ( "parity",
         [

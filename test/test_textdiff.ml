@@ -102,6 +102,66 @@ let distance_with_matches_reference =
       && Float.equal (on_tokens vocab a b) want
       && Float.equal (on_tokens (W.Vocab.create ()) a b) want)
 
+(* The reference tokenizer: [words], then each word interned in order of
+   first appearance.  [Vocab.tokenize] hashes and looks each word up where
+   it stands in the input, and must give the same ids. *)
+let reference_tokenize tbl s =
+  Array.map
+    (fun w ->
+      match Hashtbl.find_opt tbl w with
+      | Some i -> i
+      | None ->
+        let i = Hashtbl.length tbl in
+        Hashtbl.replace tbl w i;
+        i)
+    (W.words s)
+
+(* Texts over every byte class the tokenizer distinguishes: lower and
+   upper case, digits, the in-word ['] and [-], UTF-8 lead and
+   continuation bytes, separators; plus empty and punctuation-only texts. *)
+let token_text_gen =
+  let open QCheck2.Gen in
+  let separator = oneofl [ ' '; ','; '.'; '!'; '?'; '('; ')'; ';'; '"'; '\t'; '\n' ] in
+  let byte =
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        (3, char_range 'A' 'Z');
+        (2, char_range '0' '9');
+        (1, oneofl [ '\''; '-' ]);
+        (1, oneofl [ '\xc3'; '\xe2'; '\xf0' ]);
+        (1, char_range '\x80' '\xbf');
+        (4, separator);
+      ]
+  in
+  frequency
+    [
+      (1, return "");
+      (1, string_size ~gen:separator (int_bound 10));
+      (8, string_size ~gen:byte (int_bound 60));
+    ]
+
+let tokenize_matches_reference =
+  QCheck2.Test.make ~name:"Vocab.tokenize = intern over words, shared vocabulary"
+    ~count:500 ~print:QCheck2.Print.(list string)
+    QCheck2.Gen.(list_size (int_bound 40) token_text_gen)
+    (fun texts ->
+      let v = W.Vocab.create () and tbl = Hashtbl.create 16 in
+      List.for_all (fun s -> W.Vocab.tokenize v s = reference_tokenize tbl s) texts
+      && W.Vocab.size v = Hashtbl.length tbl)
+
+(* Thousands of distinct words in mixed case: the interner grows its table
+   several times and keeps every id. *)
+let test_tokenize_growth () =
+  let v = W.Vocab.create () and tbl = Hashtbl.create 16 in
+  for i = 0 to 1999 do
+    let s =
+      Printf.sprintf "W%d w%d x%d-Y %d X%d-y" i (i / 2) (i * 7919 mod 3001) i (i / 3)
+    in
+    Alcotest.(check (array int)) s (reference_tokenize tbl s) (W.Vocab.tokenize v s)
+  done;
+  Alcotest.(check int) "same vocabulary size" (Hashtbl.length tbl) (W.Vocab.size v)
+
 (* ------------------------------------------------------------ levenshtein *)
 
 let test_levenshtein_known () =
@@ -198,6 +258,8 @@ let () =
           Alcotest.test_case "paper semantics" `Quick test_paper_semantics;
           QCheck_alcotest.to_alcotest distance_properties;
           QCheck_alcotest.to_alcotest distance_with_matches_reference;
+          QCheck_alcotest.to_alcotest tokenize_matches_reference;
+          Alcotest.test_case "tokenize, growing vocabulary" `Quick test_tokenize_growth;
         ] );
       ( "levenshtein",
         [

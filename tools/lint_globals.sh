@@ -96,5 +96,22 @@ if [ -n "$bad" ]; then
   status=1
 fi
 
+# @lint no-allocating-prefix-test
+# The text front ends and the word tokenizer run at every byte of every
+# input, so a prefix test there must compare bytes in place
+# (Treediff_doc.Scan.prefix_at / find_from).  `String.sub s i n = p`
+# copies n bytes to answer a yes/no question; in a scan loop it allocated
+# at every offset and made the LaTeX and XML front ends 5x slower than the
+# JSON one.
+bad=$(grep -rn -E \
+        'String\.sub[^=;]*[^<>=:!]=[^=>]|String\.sub[^=;]*<>|String\.equal \(String\.sub' \
+        "$root/lib/doc" "$root/lib/textdiff" --include='*.ml' || true)
+bad=$(filter_allowed "$bad")
+if [ -n "$bad" ]; then
+  echo 'lint_globals: allocating prefix test in lib/doc or lib/textdiff (compare in place, see Treediff_doc.Scan):' >&2
+  printf '%s\n' "$bad" >&2
+  status=1
+fi
+
 if [ "$status" -ne 0 ]; then exit "$status"; fi
 echo 'lint_globals: ok'
