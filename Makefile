@@ -45,6 +45,7 @@ test-force:
 FAULT_SPECS = \
   fast_match.chain:raise \
   fast_match.lcs:deadline \
+  fast_match.scan:raise \
   fast_match.sim:raise \
   simple_match.node:overflow \
   keyed.match:raise \

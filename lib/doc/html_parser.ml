@@ -53,10 +53,14 @@ let tokenize src =
     end
   in
   let i = ref 0 in
+  (* Once a search finds no '>', no later '<' has one either: searching
+     again for each '<' of a run would take quadratic time. *)
+  let no_close = ref false in
   while !i < n do
     if src.[!i] = '<' then begin
-      (match String.index_from_opt src !i '>' with
+      (match if !no_close then None else String.index_from_opt src !i '>' with
       | None ->
+        no_close := true;
         Buffer.add_char text '<';
         incr i
       | Some close ->

@@ -83,11 +83,6 @@ let replay ?dummy t script =
 
 let apply ?dummy t1 script = replay ?dummy (Tree.copy t1) script
 
-let apply_result t1 script =
-  match apply t1 script with
-  | t -> Ok t
-  | exception Apply_error msg -> Error msg
-
 (* ----------------------------------------------------------------- invert *)
 
 (* Replay the script on a working copy, recording each operation's inverse

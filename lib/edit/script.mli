@@ -52,10 +52,6 @@ val apply : ?dummy:int -> Treediff_tree.Node.t -> t -> Treediff_tree.Node.t
 (** {!replay} on a deep copy of [t1]; [t1] is not modified.
     @raise Apply_error if any operation is invalid. *)
 
-val apply_result : Treediff_tree.Node.t -> t -> (Treediff_tree.Node.t, string) result
-(** Exception-free front end to {!apply}, for replaying persisted scripts
-    that may be malformed.  Never raises {!Apply_error}. *)
-
 val invert : Treediff_tree.Node.t -> t -> t
 (** [invert t1 script] is the inverse script: applying it to [apply t1
     script] restores [t1] exactly — labels, values, positions {e and}

@@ -19,6 +19,10 @@ val max_len : int
 (** [Sys.int_size - 1] (62 on 64-bit hosts): the longest shorter side the
     kernel accepts, one bit per position below the sign bit. *)
 
+val popcount : int -> int
+(** Number of set bits of a value below [2{^max_len}]: the kernel's final
+    count, also used on the word-set signatures of the word-LCS compare. *)
+
 val lcs_length : masks:int array -> int array -> int array -> int
 (** [lcs_length ~masks a b] is the length of a longest common subsequence
     of [a] and [b] under integer equality.

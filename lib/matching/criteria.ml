@@ -33,12 +33,19 @@ type common_entry = { mutable stamp : int; mutable partners : int array }
    by the pair's two indexes, so one id names one string on either side.
    When the criteria's compare is [Word_compare.distance] (recognised by
    physical equality) each distinct value is tokenized once per ctx, on
-   first use, and the distance runs on the word-id arrays: the arithmetic
-   of [Word_compare.distance_with], so equal bit for bit, without its
-   per-call string lookups.  Any other compare is called on the strings. *)
+   first use, together with its word-set signature, and the threshold test
+   runs on the word-id arrays through [Word_compare.within]: the arithmetic
+   of [Word_compare.distance_with], so the same answer, without its
+   per-call string lookups and with the signature bound rejecting most
+   unrelated pairs before the LCS kernel.  Any other compare is called on
+   the strings. *)
 type leaf_distance =
   | Strings
-  | Words of { vocab : Word_compare.Vocab.t; tokens : int array array }
+  | Words of {
+      vocab : Word_compare.Vocab.t;
+      tokens : int array array;  (* value id -> word ids *)
+      sigs : int array;  (* value id -> signature of its word ids *)
+    }
 
 let untokenized : int array = [| -1 |] (* sentinel, compared with [==] *)
 
@@ -50,6 +57,7 @@ type ctx = {
   idx1 : Index.t;
   idx2 : Index.t;
   common_cache : common_entry array; (* indexed by T1 preorder rank *)
+  values : Index.Interner.t; (* the pair's shared value interner *)
   leaf_distance : leaf_distance;
 }
 
@@ -71,17 +79,19 @@ let ctx ?exec crit ~t1 ~t2 =
   let common_cache =
     Array.init (Index.size idx1) (fun _ -> { stamp = -1; partners = [||] })
   in
+  let values = Index.value_interner idx1 in
   let leaf_distance =
     if crit.compare == Word_compare.distance then
-      let nvalues = Index.Interner.count (Index.value_interner idx1) in
+      let nvalues = Index.Interner.count values in
       Words
         {
           vocab = Word_compare.Vocab.create ();
           tokens = Array.make nvalues untokenized;
+          sigs = Array.make nvalues 0;
         }
     else Strings
   in
-  { crit; ex; st = stats; bgt; idx1; idx2; common_cache; leaf_distance }
+  { crit; ex; st = stats; bgt; idx1; idx2; common_cache; values; leaf_distance }
 
 (* Preorder rank of a node in one side's index; [-1] for a node that is not
    that index's own (an id shared with the other tree, or a foreign node). *)
@@ -93,24 +103,29 @@ let vid_in idx n =
   let r = rank_in idx n in
   if r >= 0 then Index.value_id idx r else -1
 
-let tokens_of vocab tokens v s =
+(* The word ids of value [v], tokenized (and signed) on first use. *)
+let tokens_of c vocab tokens sigs v =
   let t = tokens.(v) in
   if t != untokenized then t
   else begin
-    let t = Word_compare.Vocab.tokenize vocab s in
+    let t = Word_compare.Vocab.tokenize vocab (Index.Interner.name c.values v) in
     tokens.(v) <- t;
+    sigs.(v) <- Word_compare.signature t;
     t
   end
 
-(* [compare a b] for values with ids [va], [vb] ([-1]: not indexed). *)
-let value_distance c va vb a b =
+(* [compare a b <= limit] for the values with ids [va], [vb]. *)
+let values_close c ~limit va vb =
   match c.leaf_distance with
-  | Words { vocab; tokens } when va >= 0 && vb >= 0 ->
-    if va = vb then 0.0
-    else
-      Word_compare.distance_tokens vocab (tokens_of vocab tokens va a)
-        (tokens_of vocab tokens vb b)
-  | Words _ | Strings -> c.crit.compare a b
+  | Words { vocab; tokens; sigs } ->
+    va = vb
+    ||
+    let wa = tokens_of c vocab tokens sigs va in
+    let wb = tokens_of c vocab tokens sigs vb in
+    Word_compare.within vocab ~limit wa sigs.(va) wb sigs.(vb)
+  | Strings ->
+    c.crit.compare (Index.Interner.name c.values va) (Index.Interner.name c.values vb)
+    <= limit
 
 let exec c = c.ex
 
@@ -139,13 +154,27 @@ let leaf_count c n =
   let r1 = rank_in c.idx1 n in
   if r1 >= 0 then Index.leaf_count c.idx1 r1 else leaf_count_in c.idx2 n
 
+(* Every leaf compare counts and ticks, the ones the signature bound
+   rejects too: Fig. 13's comparison counts and the comparison caps do not
+   depend on how cheaply a compare was answered. *)
+let count_compare c =
+  c.st.Stats.leaf_compares <- c.st.Stats.leaf_compares + 1;
+  Budget.tick c.bgt
+
+let equal_leaf_ids c va vb =
+  count_compare c;
+  values_close c ~limit:c.crit.leaf_f va vb
+
 let equal_leaf c (x : Node.t) (y : Node.t) =
   String.equal x.label y.label
   &&
-  (c.st.Stats.leaf_compares <- c.st.Stats.leaf_compares + 1;
-   Budget.tick c.bgt;
-   value_distance c (vid_in c.idx1 x) (vid_in c.idx2 y) x.value y.value
-   <= c.crit.leaf_f)
+  let va = vid_in c.idx1 x and vb = vid_in c.idx2 y in
+  if va >= 0 && vb >= 0 then equal_leaf_ids c va vb
+  else begin
+    (* a node outside the index has no value id: compare its string *)
+    count_compare c;
+    c.crit.compare x.value y.value <= c.crit.leaf_f
+  end
 
 (* Out-of-index fallback: the seed's subtree walk, containment via the T2
    interval when y is indexed (a foreign y contains no indexed partner). *)
@@ -248,10 +277,9 @@ let mc3_violating_leaves c ~old_side =
         | Some n -> Hashtbl.replace counts v (n + 1)
         | None ->
           Hashtbl.replace counts v 1;
-          order := (v, (Index.node theirs r).Node.value) :: !order)
+          order := v :: !order)
       chain;
-    Array.of_list
-      (List.rev_map (fun (v, s) -> (v, s, Hashtbl.find counts v)) !order)
+    Array.of_list (List.rev_map (fun v -> (v, Hashtbl.find counts v)) !order)
   in
   let buckets = Hashtbl.create 16 in
   let bucket lid =
@@ -265,14 +293,14 @@ let mc3_violating_leaves c ~old_side =
   (* Close-counterpart count per (label, value) of [mine]: leaves sharing
      both share the answer, so each distinct pair is compared once. *)
   let closes = Hashtbl.create 64 in
-  let close_count lid xv s =
+  let close_count lid xv =
     match Hashtbl.find_opt closes (lid, xv) with
     | Some n -> n
     | None ->
       let n =
         Array.fold_left
-          (fun acc (v, s', mult) ->
-            if value_distance c xv v s s' <= 1.0 then acc + mult else acc)
+          (fun acc (v, mult) ->
+            if values_close c ~limit:1.0 xv v then acc + mult else acc)
           0 (bucket lid)
       in
       Hashtbl.replace closes (lid, xv) n;
@@ -282,9 +310,8 @@ let mc3_violating_leaves c ~old_side =
   let ls = Index.leaves mine in
   for i = Array.length ls - 1 downto 0 do
     let r = ls.(i) in
-    let x = Index.node mine r in
-    if close_count (Index.label_id mine r) (Index.value_id mine r) x.Node.value >= 2
-    then violating := x :: !violating
+    if close_count (Index.label_id mine r) (Index.value_id mine r) >= 2 then
+      violating := Index.node mine r :: !violating
   done;
   !violating
 

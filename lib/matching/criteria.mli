@@ -23,10 +23,12 @@
     compare is {!Treediff_textdiff.Word_compare.distance} (recognised by
     physical equality; the compare the CLI, daemon, LaDiff and the
     benchmark pass), the context tokenizes each distinct value once, on
-    first use, into a word-id array, and computes the distance on the
-    arrays with {!Treediff_textdiff.Word_compare.distance_tokens}: the same
-    result bit for bit, with equal value ids answering [0] at once.  Any
-    other compare is called on the two strings for every test. *)
+    first use, into a word-id array and its word-set signature, and decides
+    [distance <= f] on the arrays with
+    {!Treediff_textdiff.Word_compare.within}: the same answer as the
+    distance on the strings, with equal value ids answering at once and the
+    signature bound rejecting most unrelated pairs before the LCS kernel.
+    Any other compare is called on the two strings for every test. *)
 
 type t = {
   leaf_f : float;       (** parameter f of Matching Criterion 1 *)
@@ -89,10 +91,19 @@ val pair_indexes : Treediff_util.Exec.t -> t1:Treediff_tree.Node.t ->
     that ctx was built. *)
 
 val equal_leaf : ctx -> Treediff_tree.Node.t -> Treediff_tree.Node.t -> bool
-(** Criterion 1 test on a T1 leaf [x] and a T2 leaf [y]; counts one
-    leaf-compare (and one budget tick) when labels agree, and then runs the
-    compare: on prepared token arrays for the word-LCS compare (see above),
-    on the value strings otherwise. *)
+(** Criterion 1 test on a T1 leaf [x] and a T2 leaf [y]: when labels agree,
+    {!equal_leaf_ids} on their value ids.  (A node outside the context's
+    indexes has no value id; it counts the same and runs the compare on the
+    strings.) *)
+
+val equal_leaf_ids : ctx -> int -> int -> bool
+(** [equal_leaf_ids ctx va vb] is Criterion 1's value test,
+    [compare (v x) (v y) <= f], for leaves [x], [y] of one label with
+    interned value ids [va], [vb] ({!Treediff_tree.Index.value_id}).  It
+    counts one leaf-compare and one budget tick, also when the signature
+    bound answers without the LCS kernel, and then decides on prepared
+    token arrays for the word-LCS compare (see above), on the value strings
+    otherwise. *)
 
 val common : ctx -> Matching.t -> Treediff_tree.Node.t -> Treediff_tree.Node.t -> int
 (** [common ctx m x y] is [|common(x,y)|] under the current matching [m]:

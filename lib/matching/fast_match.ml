@@ -8,35 +8,65 @@ let chain t l ~leaf =
     (fun (n : Node.t) -> String.equal n.label l && Node.is_leaf n = leaf)
     (Node.preorder t)
 
-(* Unmatched nodes of the label's chain, in preorder, as nodes. *)
-let unmatched_chain idx keep l ~leaf =
+(* Ranks of the label's chain whose nodes are still unmatched, in
+   preorder. *)
+let unmatched_chain idx matched l ~leaf =
   let ranks =
     match Index.find_label idx l with
     | None -> [||]
     | Some lid -> (if leaf then Index.leaf_chain else Index.internal_chain) idx lid
   in
-  let nodes = Array.map (Index.node idx) ranks in
-  let n = Array.length nodes in
+  let n = Array.length ranks in
   let kept = Array.make n false in
   let count = ref 0 in
   for i = 0 to n - 1 do
-    if keep nodes.(i) then begin
+    if not (matched (Index.node idx ranks.(i)).Node.id) then begin
       kept.(i) <- true;
       incr count
     end
   done;
-  if !count = n then nodes
+  if !count = n then ranks
   else begin
-    let out = Array.make !count nodes.(0) in
+    let out = Array.make !count 0 in
     let j = ref 0 in
     for i = 0 to n - 1 do
       if kept.(i) then begin
-        out.(!j) <- nodes.(i);
+        out.(!j) <- ranks.(i);
         incr j
       end
     done;
     out
   end
+
+(* Steps 2a-2e over the chains [s1], [s2], compared through their keys
+   [k1], [k2] (one per chain position): the LCS pass, then the stragglers
+   paired as in Algorithm Match, within the A(k) window around the node's
+   own chain position when one is set. *)
+let lcs_then_scan ctx m ?window ~equal k1 k2 (s1 : Node.t array) (s2 : Node.t array) =
+  Criteria.fault ctx "fast_match.lcs";
+  let lcs = Treediff_lcs.Myers.lcs ~equal k1 k2 in
+  List.iter (fun (i, j) -> Matching.add m s1.(i).id s2.(j).id) lcs;
+  Criteria.fault ctx "fast_match.scan";
+  let budget = Criteria.budget ctx in
+  Array.iteri
+    (fun i (x : Node.t) ->
+      if not (Matching.matched_old m x.id) then begin
+        Treediff_util.Budget.visit budget;
+        let lo, hi =
+          match window with
+          | None -> (0, Array.length s2 - 1)
+          | Some k -> (max 0 (i - k), min (Array.length s2 - 1) (i + k))
+        in
+        let rec scan j =
+          if j <= hi then
+            let y = s2.(j) in
+            if (not (Matching.matched_new m y.id)) && equal k1.(i) k2.(j) then
+              Matching.add m x.id y.id
+            else scan (j + 1)
+        in
+        scan lo
+      end)
+    s1
 
 (* Similarity-indexed path for over-threshold chains.  Both FastMatch passes
    — Myers LCS and the straggler scan — go near-quadratic when a long chain's
@@ -109,16 +139,10 @@ let match_label ctx m ?window ?sim l ~leaf =
   Criteria.fault ctx "fast_match.chain";
   Treediff_util.Budget.poll budget;
   (* Only unmatched nodes take part; seeded pairs (keys) must stay intact. *)
-  let s1 =
-    unmatched_chain (Criteria.index1 ctx)
-      (fun (n : Node.t) -> not (Matching.matched_old m n.id))
-      l ~leaf
-  in
-  let s2 =
-    unmatched_chain (Criteria.index2 ctx)
-      (fun (n : Node.t) -> not (Matching.matched_new m n.id))
-      l ~leaf
-  in
+  let idx1 = Criteria.index1 ctx and idx2 = Criteria.index2 ctx in
+  let r1 = unmatched_chain idx1 (Matching.matched_old m) l ~leaf in
+  let r2 = unmatched_chain idx2 (Matching.matched_new m) l ~leaf in
+  let s1 = Array.map (Index.node idx1) r1 and s2 = Array.map (Index.node idx2) r2 in
   let equal (x : Node.t) (y : Node.t) = Criteria.equal_nodes ctx m x y in
   let use_sim =
     match sim with
@@ -130,34 +154,13 @@ let match_label ctx m ?window ?sim l ~leaf =
     let top_k = match sim with Some (_, k) -> max 1 k | None -> 1 in
     match_label_sim ctx m ~top_k ~equal s1 s2 ~leaf
   end
-  else begin
-    (* 2a–2d: LCS pass over the chains. *)
-    Criteria.fault ctx "fast_match.lcs";
-    let lcs = Treediff_lcs.Myers.lcs ~equal s1 s2 in
-    List.iter (fun (i, j) -> Matching.add m s1.(i).Node.id s2.(j).Node.id) lcs;
-    (* 2e: pair the stragglers as in Algorithm Match — within the A(k) window
-       around the node's own chain position when one is set. *)
-    Criteria.fault ctx "fast_match.scan";
-    Array.iteri
-      (fun i (x : Node.t) ->
-        if not (Matching.matched_old m x.id) then begin
-          Treediff_util.Budget.visit budget;
-          let lo, hi =
-            match window with
-            | None -> (0, Array.length s2 - 1)
-            | Some k -> (max 0 (i - k), min (Array.length s2 - 1) (i + k))
-          in
-          let rec scan j =
-            if j <= hi then
-              let y = s2.(j) in
-              if (not (Matching.matched_new m y.id)) && equal x y then
-                Matching.add m x.id y.id
-              else scan (j + 1)
-          in
-          scan lo
-        end)
-      s1
-  end
+  else if leaf then
+    (* A leaf chain has one label, so Criterion 1 is a test on value ids. *)
+    lcs_then_scan ctx m ?window ~equal:(Criteria.equal_leaf_ids ctx)
+      (Array.map (Index.value_id idx1) r1)
+      (Array.map (Index.value_id idx2) r2)
+      s1 s2
+  else lcs_then_scan ctx m ?window ~equal s1 s2 s1 s2
 
 let run ?init ?window ?sim ctx =
   let m = match init with Some m -> Matching.copy m | None -> Matching.create () in

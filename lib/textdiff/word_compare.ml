@@ -1,3 +1,5 @@
+module Bitpar = Treediff_lcs.Bitpar
+
 let is_word_char c =
   match c with
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '\'' | '-' -> true
@@ -188,21 +190,42 @@ end
    fits one machine word (every word id is below the interner's size, so a
    table that long covers both sides); Myers' O(ND) otherwise. *)
 let lcs_length (v : Vocab.t) wa wb =
-  if min (Array.length wa) (Array.length wb) <= Treediff_lcs.Bitpar.max_len
-  then begin
+  if min (Array.length wa) (Array.length wb) <= Bitpar.max_len then begin
     let words = Vocab.size v in
     if Array.length v.masks < words then
       v.masks <- Array.make (max words (2 * Array.length v.masks)) 0;
-    Treediff_lcs.Bitpar.lcs_length ~masks:v.masks wa wb
+    Bitpar.lcs_length ~masks:v.masks wa wb
   end
   else Treediff_lcs.Myers.lcs_length ~equal:Int.equal wa wb
 
+(* The distance of an [na]- and an [nb]-word sentence whose LCS has [c]
+   words; it only grows as [c] falls. *)
+let distance_of na nb c = float_of_int (na + nb - (2 * c)) /. float_of_int (max na nb)
+
 let distance_tokens v wa wb =
   let na = Array.length wa and nb = Array.length wb in
-  if na = 0 && nb = 0 then 0.0
+  if na = 0 && nb = 0 then 0.0 else distance_of na nb (lcs_length v wa wb)
+
+let signature ids =
+  let s = ref 0 in
+  for i = 0 to Array.length ids - 1 do
+    s := !s lor (1 lsl (ids.(i) mod Bitpar.max_len))
+  done;
+  !s
+
+(* A bit set in [sa] but not in [sb] stands for at least one word of [a]
+   (at least one position) that does not occur in [b], so no LCS uses it. *)
+let lcs_bound wa sa wb sb =
+  min
+    (Array.length wa - Bitpar.popcount (sa land lnot sb))
+    (Array.length wb - Bitpar.popcount (sb land lnot sa))
+
+let within v ~limit wa sa wb sb =
+  let na = Array.length wa and nb = Array.length wb in
+  if na = 0 && nb = 0 then 0.0 <= limit
   else
-    let c = lcs_length v wa wb in
-    float_of_int (na + nb - (2 * c)) /. float_of_int (max na nb)
+    distance_of na nb (lcs_bound wa sa wb sb) <= limit
+    && distance_of na nb (lcs_length v wa wb) <= limit
 
 (* Tokenization memo: [words] is a pure function and versioned documents
    compare the same sentences over and over, so cache token arrays per

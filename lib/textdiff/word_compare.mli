@@ -26,7 +26,10 @@
     a dense id tokenize each string once with {!Vocab.tokenize} and call
     {!distance_tokens} on the arrays, skipping the per-call string lookups
     (the matching criteria do this per interned leaf value).  The result is
-    the same bit for bit: {!distance_with} itself runs {!distance_tokens}. *)
+    the same bit for bit: {!distance_with} itself runs {!distance_tokens}.
+    A caller that only needs [distance <= limit] keeps each array's
+    {!signature} too and calls {!within}, which answers most unrelated
+    pairs from the signatures alone. *)
 
 val words : string -> string array
 (** Tokenise on whitespace, lowercase, stripping punctuation at token edges.
@@ -52,6 +55,25 @@ val distance_tokens : Vocab.t -> int array -> int array -> float
 (** The word-LCS distance of two token arrays made by {!Vocab.tokenize}
     under the same vocabulary: [(n₁ + n₂ − 2c) / max(n₁, n₂)], and [0] for
     two empty arrays. *)
+
+val signature : int array -> int
+(** The word-set signature of a token array: bit [id mod
+    {!Treediff_lcs.Bitpar.max_len}] is set for each word id. *)
+
+val lcs_bound : int array -> int -> int array -> int -> int
+(** [lcs_bound wa sa wb sb], for token arrays [wa], [wb] with signatures
+    [sa], [sb]: [min (n₁ − popcount (sa land lnot sb))
+    (n₂ − popcount (sb land lnot sa))], an upper bound on their LCS length
+    (a bit set on one side only stands for a word the other side lacks). *)
+
+val within : Vocab.t -> limit:float -> int array -> int -> int array -> int -> bool
+(** [within v ~limit wa sa wb sb] is [distance_tokens v wa wb <= limit],
+    for signatures [sa = signature wa] and [sb = signature wb].  Two empty
+    arrays are decided first (distance 0).  Otherwise the distance formula
+    is evaluated at {!lcs_bound} before the LCS kernel runs: the formula
+    only grows as the LCS shrinks, so when the bound's distance is already
+    above [limit] the answer is [false] without the kernel, and the bound
+    never rejects a pair the kernel would accept. *)
 
 module Cache : sig
   type t

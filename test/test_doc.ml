@@ -8,6 +8,7 @@ module Doc = Treediff_doc.Doc_tree
 module Sentence = Treediff_doc.Sentence
 module Latex = Treediff_doc.Latex_parser
 module Html = Treediff_doc.Html_parser
+module Codec = Treediff_tree.Codec
 module Markup = Treediff_doc.Markup
 module Ladiff = Treediff_doc.Ladiff
 module P = Treediff_util.Prng
@@ -219,6 +220,46 @@ let test_html_error () =
     (match Html.parse gen "</ul>" with
     | exception Html.Parse_error _ -> true
     | _ -> false)
+
+(* A '<' with no '>' after it is text.  The expected trees and warnings
+   on short inputs are the ones the parser gave before the search for '>'
+   stopped after its first miss.  The 40 000-'<' run must take linear
+   time: a fresh search for '>' at every '<' made it quadratic. *)
+let test_html_lt_run () =
+  let parse ~lenient src =
+    match Html.parse_result ~lenient (Tree.gen ()) src with
+    | Ok (t, w) -> Codec.to_string ~indent:false t ^ " " ^ String.concat "|" w
+    | Error e -> "error " ^ e
+  in
+  List.iter
+    (fun (src, strict, lenient) ->
+      Alcotest.(check string) (src ^ " strict") strict (parse ~lenient:false src);
+      Alcotest.(check string) (src ^ " lenient") lenient (parse ~lenient:true src))
+    [
+      ("<<<", {|(Document (Paragraph (Sentence "<<<"))) |}, {|(Document (Paragraph (Sentence "<<<"))) |});
+      ( "<p>one < two. Three <",
+        {|(Document (Paragraph (Sentence "one < two.") (Sentence "Three <"))) |},
+        {|(Document (Paragraph (Sentence "one < two.") (Sentence "Three <"))) |} );
+      ( "a < b <p>c</p> d <<",
+        {|(Document (Paragraph (Sentence "a c")) (Paragraph (Sentence "d <<"))) |},
+        {|(Document (Paragraph (Sentence "a c")) (Paragraph (Sentence "d <<"))) |} );
+      ( "<ul><li>x</ul></ul> <<",
+        "error closing list tag with no open list",
+        {|(Document (List (Item (Paragraph (Sentence "x")))) (Paragraph (Sentence "<<"))) closing list tag with no open list|}
+      );
+      ("<h1>T<</h1>", "(Document) ", "(Document) ");
+      ("x <b>y</b> <z", {|(Document (Paragraph (Sentence "x y <z"))) |}, {|(Document (Paragraph (Sentence "x y <z"))) |});
+    ];
+  let lts = String.make 40_000 '<' in
+  List.iter
+    (fun lenient ->
+      match Html.parse_result ~lenient (Tree.gen ()) lts with
+      | Ok (t, w) ->
+        Alcotest.(check (list string)) "one sentence of '<'" [ lts ]
+          (List.map (fun (n : Node.t) -> n.Node.value) (Node.leaves t));
+        Alcotest.(check int) "no warnings" 0 (List.length w)
+      | Error e -> Alcotest.failf "parse failed: %s" e)
+    [ false; true ]
 
 (* ---------------------------------------------------------------- markup *)
 
@@ -522,6 +563,7 @@ let () =
           Alcotest.test_case "structure" `Quick test_html_structure;
           Alcotest.test_case "tag soup" `Quick test_html_tag_soup;
           Alcotest.test_case "stray close" `Quick test_html_error;
+          Alcotest.test_case "lt run, linear" `Quick test_html_lt_run;
         ] );
       ( "markup",
         [

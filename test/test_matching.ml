@@ -611,6 +611,59 @@ let test_greedy_deterministic_and_scored () =
     true
     (SQ.recall s >= 0.9)
 
+(* ---------------------------------------------------- word-compare paths *)
+
+(* The criteria recognise [Word_compare.distance] by physical equality and
+   then test prepared token arrays behind the word-set signature bound; any
+   other closure (here one that calls the same function) takes the string
+   path, which never uses the bound.  On Docgen pairs with few and many
+   edits, and with near-duplicate sentences (Criterion 3 fails, so the
+   straggler scan and postprocess work), both must give the same
+   FastMatch matching, the same scripts and the same comparison counts. *)
+let test_word_paths_agree () =
+  let module Docgen = Treediff_workload.Docgen in
+  let module W = Treediff_textdiff.Word_compare in
+  let module Stats = Treediff_util.Stats in
+  let cases =
+    [
+      (Docgen.small, (1, 3)); (Docgen.small, (6, 10)); (Docgen.medium, (2, 5));
+      (Docgen.medium, (12, 20));
+      ({ Docgen.medium with Docgen.duplicate_rate = 0.2 }, (6, 10));
+    ]
+  in
+  let by_string a b = W.distance a b in
+  List.iteri
+    (fun ci (profile, (lo, hi)) ->
+      for seed = 1 to 2 do
+        let g = P.create ((100 * ci) + seed) in
+        let gen = Tree.gen () in
+        let t1 = Docgen.generate g gen profile in
+        let t2, _ = Treediff_workload.Mutate.mutate g gen t1 ~actions:(P.int_in g lo hi) in
+        List.iter
+          (fun leaf_f ->
+            let run compare =
+              let crit = Criteria.make ~leaf_f ~compare () in
+              let exec = Treediff_util.Exec.create () in
+              let m = Fast.run (Criteria.ctx ~exec crit ~t1 ~t2) in
+              let st = Treediff_util.Exec.stats exec in
+              let r = Treediff.Diff.diff ~config:(Treediff.Config.with_criteria crit) t1 t2 in
+              ( Matching.pairs m,
+                (st.Stats.leaf_compares, st.Stats.partner_checks),
+                Treediff_edit.Script_io.to_string r.Treediff.Diff.script,
+                (r.Treediff.Diff.stats.Stats.leaf_compares,
+                 r.Treediff.Diff.stats.Stats.partner_checks) )
+            in
+            let m_w, c_w, s_w, d_w = run W.distance
+            and m_s, c_s, s_s, d_s = run by_string in
+            let name what = Printf.sprintf "case %d seed %d f=%g: %s" ci seed leaf_f what in
+            Alcotest.(check (list (pair int int))) (name "matching") m_s m_w;
+            Alcotest.(check (pair int int)) (name "fast_match counts") c_s c_w;
+            Alcotest.(check string) (name "script") s_s s_w;
+            Alcotest.(check (pair int int)) (name "diff counts") d_s d_w)
+          [ 0.0; 0.3; 0.5; 1.0 ]
+      done)
+    cases
+
 let () =
   Alcotest.run "matching"
     [
@@ -628,6 +681,7 @@ let () =
           Alcotest.test_case "MC3 violations" `Quick test_mc3_violations;
           Alcotest.test_case "side-aware value ids" `Quick test_criteria_shared_ids;
           Alcotest.test_case "ctx allocation" `Quick test_criteria_ctx_allocation;
+          Alcotest.test_case "word-compare paths agree" `Quick test_word_paths_agree;
         ] );
       ( "label-order",
         [

@@ -323,15 +323,15 @@ let test_compose_id_collision () =
   in
   Alcotest.(check bool) "reused insert id was renamed" false reuse
 
-let test_apply_result () =
+let test_apply_errors () =
   let gen = Tree.gen () in
   let t = Codec.parse gen {|(D (P (S "a")))|} in
-  (match Script.apply_result t [ Op.Update { id = 2; value = "b" } ] with
-  | Ok t' -> Alcotest.(check bool) "applied" true (t'.Node.id = t.Node.id)
-  | Error msg -> Alcotest.fail msg);
-  match Script.apply_result t [ Op.Delete { id = 99 } ] with
-  | Ok _ -> Alcotest.fail "unknown id applied"
-  | Error msg ->
+  (match Script.apply t [ Op.Update { id = 2; value = "b" } ] with
+  | t' -> Alcotest.(check bool) "applied" true (t'.Node.id = t.Node.id)
+  | exception Script.Apply_error msg -> Alcotest.fail msg);
+  match Script.apply t [ Op.Delete { id = 99 } ] with
+  | _ -> Alcotest.fail "unknown id applied"
+  | exception Script.Apply_error msg ->
     Alcotest.(check bool) "error is non-empty" true (String.length msg > 0)
 
 (* ---------------------------------------------------------------- archive *)
@@ -438,11 +438,11 @@ let test_store_diff_between () =
     let s = ok_exn "diff_between" (Shard.diff_between store ~doc ~from_ ~to_) in
     let t_from = ok_exn "mat" (Shard.materialize store ~doc from_) in
     let t_to = ok_exn "mat" (Shard.materialize store ~doc to_) in
-    (match Script.apply_result t_from s with
-    | Ok t ->
+    (match Script.apply t_from s with
+    | t ->
       if not (Iso.equal t t_to) then
         Alcotest.fail (Printf.sprintf "composed %d->%d lands elsewhere" from_ to_)
-    | Error msg ->
+    | exception Script.Apply_error msg ->
       Alcotest.fail (Printf.sprintf "composed %d->%d does not apply: %s" from_ to_ msg));
     match Diag.errors (Check.verify ~t1:t_from ~t2:t_to s) with
     | [] -> ()
@@ -1052,7 +1052,7 @@ let () =
             quick "invert unit inverse ops" test_invert_units;
             quick "compose fusion units" test_compose_units;
             quick "compose id-collision remap" test_compose_id_collision;
-            quick "apply_result" test_apply_result;
+            quick "apply and Apply_error" test_apply_errors;
           ] );
         ( "store",
           [

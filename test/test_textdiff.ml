@@ -162,6 +162,61 @@ let test_tokenize_growth () =
   done;
   Alcotest.(check int) "same vocabulary size" (Hashtbl.length tbl) (W.Vocab.size v)
 
+(* Token-array pairs for the signature bound: over [k] words of ids
+   [0 .. k-1] (k up to 200, so ids at and above 62 share signature bits
+   with smaller ones), of lengths 0-12 (empty arrays and heavy repeats) or
+   55-90 (both sides past 62 words: the Myers kernel); the second array is
+   either drawn afresh or edited from the first, so that both answers of
+   the threshold test occur. *)
+let bound_pair_gen =
+  let open QCheck2.Gen in
+  let* k = oneof [ int_range 1 6; int_range 60 200 ] in
+  let word = int_bound (k - 1) in
+  let* a = list_size (oneof [ int_bound 12; int_range 55 90 ]) word in
+  let edited =
+    flatten_l
+      (List.map
+         (fun w ->
+           frequency
+             [ (6, return [ w ]); (1, return []); (1, map (fun v -> [ v ]) word);
+               (1, map (fun v -> [ w; v ]) word) ])
+         a)
+    >|= List.concat
+  in
+  let+ b = frequency [ (1, list_size (oneof [ int_bound 12; int_range 55 90 ]) word); (2, edited) ] in
+  (k, a, b)
+
+(* Reference bound, on lists: the signature bits a side holds and the
+   other lacks, counted as distinct residues mod 62. *)
+let reference_bound a b =
+  let residues l = List.sort_uniq compare (List.map (fun id -> id mod 62) l) in
+  let ra = residues a and rb = residues b in
+  let only x y = List.length (List.filter (fun r -> not (List.mem r y)) x) in
+  min (List.length a - only ra rb) (List.length b - only rb ra)
+
+let within_matches_distance =
+  QCheck2.Test.make
+    ~name:"signature bound admissible, exact, same answer"
+    ~count:600
+    ~print:QCheck2.Print.(triple int (list int) (list int))
+    bound_pair_gen
+    (fun (k, a, b) ->
+      (* word "wI" gets id I: interned in order before the pair *)
+      let v = W.Vocab.create () in
+      ignore (W.Vocab.tokenize v (String.concat " " (List.init k (Printf.sprintf "w%d"))));
+      let tok l = W.Vocab.tokenize v (String.concat " " (List.map (Printf.sprintf "w%d") l)) in
+      let wa = tok a and wb = tok b in
+      let sa = W.signature wa and sb = W.signature wb in
+      let bound = W.lcs_bound wa sa wb sb in
+      wa = Array.of_list a
+      && bound = reference_bound a b
+      && bound >= Treediff_lcs.Dp.lcs_length ~equal:Int.equal wa wb
+      && List.for_all
+           (fun limit ->
+             Bool.equal (W.within v ~limit wa sa wb sb)
+               (W.distance_tokens v wa wb <= limit))
+           [ 0.0; 0.25; 0.5; 0.75; 1.0 ])
+
 (* ------------------------------------------------------------ levenshtein *)
 
 let test_levenshtein_known () =
@@ -260,6 +315,7 @@ let () =
           QCheck_alcotest.to_alcotest distance_with_matches_reference;
           QCheck_alcotest.to_alcotest tokenize_matches_reference;
           Alcotest.test_case "tokenize, growing vocabulary" `Quick test_tokenize_growth;
+          QCheck_alcotest.to_alcotest within_matches_distance;
         ] );
       ( "levenshtein",
         [
