@@ -15,15 +15,14 @@ let audit ?matching ~sim ~lint_clean ~t1 ~t2 script =
   | Some m ->
     (* Phase-count bounds fixed by the matching. *)
     let expected_del = ref 0 and expected_upd = ref 0 and expected_ins = ref 0 in
-    let t2_nodes = Hashtbl.create 256 in
-    Node.iter_preorder (fun (y : Node.t) -> Hashtbl.replace t2_nodes y.id y) t2;
+    let t2_nodes = Treediff_tree.Id_table.of_tree t2 in
     let required_mov = ref 0 in
     Node.iter_preorder
       (fun (x : Node.t) ->
         match Matching.partner_of_old m x.id with
         | None -> incr expected_del
         | Some yid -> (
-          match Hashtbl.find_opt t2_nodes yid with
+          match Treediff_tree.Id_table.find_opt t2_nodes yid with
           | None -> () (* analyzer reports TD202; no bound derivable *)
           | Some y ->
             if not (String.equal x.value y.Node.value) then incr expected_upd;

@@ -2,6 +2,7 @@ module Op = Treediff_edit.Op
 module Script = Treediff_edit.Script
 module Node = Treediff_tree.Node
 module Tree = Treediff_tree.Tree
+module Id_table = Treediff_tree.Id_table
 module Exec = Treediff_util.Exec
 module Budget = Treediff_util.Budget
 module Pool = Treediff_util.Pool
@@ -539,14 +540,14 @@ let audit ?exec ?(dead = false) ~tree script =
 (* --------------------------------------------------------- parallel apply *)
 
 let apply_slice infos index slice =
-  let overlay : (int, Node.t) Hashtbl.t = Hashtbl.create 16 in
+  let overlay = Id_table.create () in
   let find id =
-    match Hashtbl.find_opt overlay id with
-    | Some n -> n
-    | None -> (
-      match Hashtbl.find_opt index id with
-      | Some n -> n
-      | None ->
+    match Id_table.find overlay id with
+    | n -> n
+    | exception Not_found -> (
+      match Id_table.find index id with
+      | n -> n
+      | exception Not_found ->
         raise (Script.Apply_error (Printf.sprintf "parallel apply: unknown node %d" id)))
   in
   Array.iter
@@ -556,7 +557,7 @@ let apply_slice infos index slice =
         let p = find parent in
         let n = Node.make ~id ~label ~value () in
         Node.insert_child p (pos - 1) n;
-        Hashtbl.replace overlay id n
+        Id_table.replace overlay id n
       | Op.Delete { id } -> Node.detach (find id)
       | Op.Update { id; value } -> (find id).Node.value <- value
       | Op.Move { id; parent; pos } ->
@@ -573,7 +574,7 @@ let apply_parallel ?exec ?pool ?jobs tree script =
   let g = build ?exec ~tree script in
   let slices = components g in
   let root = Tree.copy tree in
-  let index = Tree.index_by_id root in
+  let index = Id_table.of_tree root in
   let n = Array.length slices in
   let jobs =
     match (jobs, pool) with

@@ -1,5 +1,6 @@
 module Node = Treediff_tree.Node
 module Tree = Treediff_tree.Tree
+module Id_table = Treediff_tree.Id_table
 module Op = Treediff_edit.Op
 module Matching = Treediff_matching.Matching
 
@@ -53,8 +54,7 @@ let build ?exec ~t1 ~t2 ~total ~script () =
   (match exec with
   | Some ex -> Treediff_util.Exec.fault ex "delta.build"
   | None -> Treediff_util.Fault.point (Treediff_util.Fault.create ()) "delta.build");
-  let t1_index = Tree.index_by_id t1 in
-  let in_t1 id = Hashtbl.mem t1_index id in
+  let t1_index = Id_table.of_tree t1 in
   (* Marker numbers in script order; a node moves at most once per script. *)
   let markers = Hashtbl.create 16 in
   List.iter
@@ -139,20 +139,25 @@ let build ?exec ~t1 ~t2 ~total ~script () =
   in
   let build_new (y0 : Node.t) =
     fold_tree y0
-      ~expand:(fun (y : Node.t) -> List.map (fun c -> Recurse c) (Node.children y))
+      ~expand:(fun (y : Node.t) ->
+        let steps = ref [] in
+        for i = Node.child_count y - 1 downto 0 do
+          steps := Recurse (Node.child y i) :: !steps
+        done;
+        !steps)
       ~close:(fun (y : Node.t) built ->
-        let wid = Matching.partner_of_new total y.id in
         let base, moved =
-          match wid with
-          | Some wid when in_t1 wid ->
-            let old = Hashtbl.find t1_index wid in
-            let base =
-              if String.equal old.Node.value y.value then Identical
-              else Updated old.Node.value
-            in
-            (base, Hashtbl.find_opt markers wid)
-          | Some _ -> (Inserted, None) (* fresh id: node was inserted *)
-          | None -> (Inserted, None)   (* unmatched new node (pre-script delta) *)
+          match Matching.partner_of_new total y.id with
+          | None -> (Inserted, None) (* unmatched new node (pre-script delta) *)
+          | Some wid -> (
+            match Id_table.find t1_index wid with
+            | old ->
+              let base =
+                if String.equal old.Node.value y.value then Identical
+                else Updated old.Node.value
+              in
+              (base, Hashtbl.find_opt markers wid)
+            | exception Not_found -> (Inserted, None) (* fresh id: node was inserted *))
         in
         let children = insert_ghosts y.id built in
         { label = y.label; value = y.value; base; moved; children })

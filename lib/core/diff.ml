@@ -59,9 +59,9 @@ let verify ?(config = Config.default) ?audit_data result ~t1 ~t2 =
 let finish ?(config = Config.default) ~exec ?degraded ~matching
     ~postprocess_fixes t1 t2 =
   let stats = Exec.stats exec in
-  let gen = Edit_gen.generate ~exec ~matching t1 t2 in
-  let base = Script.rooted ?dummy:(Option.map fst gen.Edit_gen.dummy) t1 in
-  let measure = Script.measure ~model:config.Config.cost base gen.Edit_gen.script in
+  let gen =
+    Edit_gen.generate ~exec ~model:config.Config.cost ~matching t1 t2
+  in
   let delta =
     Delta.build ~exec ~t1 ~t2 ~total:gen.Edit_gen.total
       ~script:gen.Edit_gen.script ()
@@ -73,7 +73,7 @@ let finish ?(config = Config.default) ~exec ?degraded ~matching
       script = gen.Edit_gen.script;
       delta;
       dummy = gen.Edit_gen.dummy;
-      measure;
+      measure = gen.Edit_gen.measure;
       stats;
       postprocess_fixes;
       degraded;

@@ -1,9 +1,11 @@
 module Node = Treediff_tree.Node
 module Tree = Treediff_tree.Tree
 module Index = Treediff_tree.Index
+module Id_table = Treediff_tree.Id_table
 module Vec = Treediff_util.Vec
 module Op = Treediff_edit.Op
 module Script = Treediff_edit.Script
+module Cost = Treediff_edit.Cost
 module Matching = Treediff_matching.Matching
 module Myers = Treediff_lcs.Myers
 module Diag = Treediff_check.Diag
@@ -21,18 +23,24 @@ type result = {
   total : Matching.t;
   transformed : Node.t;
   dummy : (int * int) option;
+  measure : Script.measure;
 }
 
 (* Mutable state threaded through one generation run.  The working tree
-   mutates as operations are emitted, so its index stays a hashtable; T2 is
-   frozen for the whole run and gets a dense array index. *)
+   mutates as operations are emitted, so its index is an id table; T2 is
+   frozen for the whole run and is read through its {!Index}.  The "in
+   order" marks are flat byte arrays: by id-table entry number on the
+   working side (inserted nodes get fresh entries), by preorder rank on
+   the T2 side. *)
 type state = {
   w_root : Node.t;                       (* working tree (copy of t1, possibly dummy-rooted) *)
-  w_index : (int, Node.t) Hashtbl.t;
+  w_index : Id_table.t;
   t2_index : Index.t;
   m : Matching.t;                        (* M', grows to a total matching *)
-  in_order1 : (int, unit) Hashtbl.t;     (* working-tree ids marked "in order" *)
-  in_order2 : (int, unit) Hashtbl.t;     (* T2 ids marked "in order" *)
+  in_order1 : Bytes.t;                   (* working entry -> marked "in order" *)
+  in_order2 : Bytes.t;                   (* T2 rank -> marked "in order" *)
+  model : Cost.t;
+  mutable measure : Script.measure;      (* of the ops emitted so far *)
   ex : Treediff_util.Exec.t;
   budget : Treediff_util.Budget.t;
   mutable next_id : int;
@@ -44,14 +52,27 @@ let fresh st =
   st.next_id <- st.next_id + 1;
   id
 
+(* The working tree holds the exact pre-op state, so each op is measured
+   as it is emitted, as {!Script.measure} would on a replay. *)
 let emit st op =
   st.ops <- op :: st.ops;
+  st.measure <- Script.charge st.model ~index:st.w_index st.measure op;
   Script.apply_into ~root:st.w_root ~index:st.w_index op
 
 let working st id =
-  match Hashtbl.find_opt st.w_index id with
-  | Some n -> n
-  | None -> broken ~nodes:[ id ] "unknown working node %d" id
+  match Id_table.find st.w_index id with
+  | n -> n
+  | exception Not_found -> broken ~nodes:[ id ] "unknown working node %d" id
+
+let set_mark marks i v = Bytes.set marks i (if v then '\001' else '\000')
+
+let marked marks i = Bytes.get marks i <> '\000'
+
+(* Marks are read and set only for present ids: the arrays are sized for
+   every working entry and every T2 rank. *)
+let in_order1 st id = marked st.in_order1 (Id_table.entry st.w_index id)
+
+let in_order2 st id = marked st.in_order2 (Index.rank_of_id st.t2_index id)
 
 let partner_of_new st (x : Node.t) =
   match Matching.partner_of_new st.m x.id with
@@ -78,7 +99,7 @@ let find_pos st ?moving (x : Node.t) =
            found := true;
            raise Exit
          end;
-         if Hashtbl.mem st.in_order2 c.id then v := Some c)
+         if in_order2 st c.id then v := Some c)
        y
    with Exit -> ());
   if not !found then
@@ -122,70 +143,85 @@ let find_pos st ?moving (x : Node.t) =
     !res + 1)
 
 let mark_in_order st (w : Node.t) (x : Node.t) =
-  Hashtbl.replace st.in_order1 w.id ();
-  Hashtbl.replace st.in_order2 x.id ()
+  set_mark st.in_order1 (Id_table.entry st.w_index w.id) true;
+  set_mark st.in_order2 (Index.rank_of_id st.t2_index x.id) true
 
-(* AlignChildren (Fig. 9): LCS the mutually-parented matched children, then
-   move the misaligned remainder into place. *)
-let align_children st (w : Node.t) (x : Node.t) =
-  Treediff_util.Exec.fault st.ex "edit_gen.align";
-  Node.iter_children (fun (c : Node.t) -> Hashtbl.remove st.in_order1 c.id) w;
-  Node.iter_children (fun (c : Node.t) -> Hashtbl.remove st.in_order2 c.id) x;
+let align_matched st (w : Node.t) (x : Node.t) =
   let s1 = Vec.create () in
-  Node.iter_children
-    (fun (a : Node.t) ->
-      match Matching.partner_of_old st.m a.id with
-      | Some bid -> (
-        match Index.node_of_id st.t2_index bid with
-        | Some b -> (
-          match b.Node.parent with
-          | Some p -> if p.Node.id = x.id then Vec.push s1 a
-          | None -> ())
+  for i = 0 to Node.child_count w - 1 do
+    let a = Node.child w i in
+    match Matching.partner_of_old st.m a.id with
+    | Some bid -> (
+      let r = Index.rank_of_id st.t2_index bid in
+      if r >= 0 then
+        match (Index.node st.t2_index r).Node.parent with
+        | Some p -> if p.Node.id = x.id then Vec.push s1 a
         | None -> ())
-      | None -> ())
-    w;
+    | None -> ()
+  done;
   let s2 = Vec.create () in
-  Node.iter_children
-    (fun (b : Node.t) ->
-      match Matching.partner_of_new st.m b.id with
-      | Some aid -> (
-        match Hashtbl.find_opt st.w_index aid with
-        | Some (a : Node.t) -> (
-          match a.Node.parent with
-          | Some p -> if p.Node.id = w.id then Vec.push s2 b
-          | None -> ())
+  for i = 0 to Node.child_count x - 1 do
+    let b = Node.child x i in
+    match Matching.partner_of_new st.m b.id with
+    | Some aid -> (
+      match Id_table.find st.w_index aid with
+      | (a : Node.t) -> (
+        match a.Node.parent with
+        | Some p -> if p.Node.id = w.id then Vec.push s2 b
         | None -> ())
-      | None -> ())
-    x;
+      | exception Not_found -> ())
+    | None -> ()
+  done;
   let arr1 = Vec.to_array s1 and arr2 = Vec.to_array s2 in
   let equal (a : Node.t) (b : Node.t) = Matching.mem st.m a.id b.id in
-  let lcs = Myers.lcs ~equal arr1 arr2 in
-  List.iter (fun (i, j) -> mark_in_order st arr1.(i) arr2.(j)) lcs;
-  Array.iter
-    (fun (a : Node.t) ->
-      if not (Hashtbl.mem st.in_order1 a.id) then begin
-        let b =
-          match Matching.partner_of_old st.m a.id with
-          | Some bid -> (
-            match Index.node_of_id st.t2_index bid with
-            | Some b -> b
+  let n = Array.length arr1 in
+  let rec in_step i = i = n || (equal arr1.(i) arr2.(i) && in_step (i + 1)) in
+  if n = Array.length arr2 && in_step 0 then
+    Array.iteri (fun i a -> mark_in_order st a arr2.(i)) arr1
+  else begin
+    let lcs = Myers.lcs ~equal arr1 arr2 in
+    List.iter (fun (i, j) -> mark_in_order st arr1.(i) arr2.(j)) lcs;
+    Array.iter
+      (fun (a : Node.t) ->
+        if not (in_order1 st a.id) then begin
+          let b =
+            match Matching.partner_of_old st.m a.id with
+            | Some bid -> (
+              match Index.node_of_id st.t2_index bid with
+              | Some b -> b
+              | None ->
+                broken ~nodes:[ a.id; bid ]
+                  "AlignChildren: partner %d of node %d is not in T2" bid a.id)
             | None ->
-              broken ~nodes:[ a.id; bid ]
-                "AlignChildren: partner %d of node %d is not in T2" bid a.id)
-          | None ->
-            broken ~nodes:[ a.id ]
-              "AlignChildren: node %d entered S1 without a partner" a.id
-        in
-        let k = find_pos st ~moving:a b in
-        emit st (Op.Move { id = a.id; parent = w.id; pos = k });
-        mark_in_order st a b
-      end)
-    arr1
+              broken ~nodes:[ a.id ]
+                "AlignChildren: node %d entered S1 without a partner" a.id
+          in
+          let k = find_pos st ~moving:a b in
+          emit st (Op.Move { id = a.id; parent = w.id; pos = k });
+          mark_in_order st a b
+        end)
+      arr1
+  end
+
+(* AlignChildren (Fig. 9): LCS the mutually-parented matched children, then
+   move the misaligned remainder into place.  A leaf on either side has no
+   such children, and children already in matched order are their own LCS
+   (the only common subsequence as long as both), so those two cases skip
+   the LCS. *)
+let align_children st (w : Node.t) (x : Node.t) =
+  Treediff_util.Exec.fault st.ex "edit_gen.align";
+  for i = 0 to Node.child_count w - 1 do
+    set_mark st.in_order1 (Id_table.entry st.w_index (Node.child w i).id) false
+  done;
+  for i = 0 to Node.child_count x - 1 do
+    set_mark st.in_order2 (Index.rank_of_id st.t2_index (Node.child x i).id) false
+  done;
+  if Node.child_count w > 0 && Node.child_count x > 0 then align_matched st w x
 
 let visit st (x : Node.t) =
   Treediff_util.Exec.fault st.ex "edit_gen.visit";
   Treediff_util.Budget.visit st.budget;
-  (match x.Node.parent with
+  match x.Node.parent with
   | None ->
     (* Root: matched by construction; Fig. 8 skips the update for it, which
        would drop a root value change — handle it explicitly. *)
@@ -197,7 +233,8 @@ let visit st (x : Node.t) =
           "root %d is unmatched after dummy-rooting" x.id
     in
     if not (String.equal w.Node.value x.Node.value) then
-      emit st (Op.Update { id = w.Node.id; value = x.Node.value })
+      emit st (Op.Update { id = w.Node.id; value = x.Node.value });
+    align_children st w x
   | Some y -> (
     let z =
       match Matching.partner_of_new st.m y.Node.id with
@@ -215,7 +252,9 @@ let visit st (x : Node.t) =
       let wid = fresh st in
       emit st (Op.Insert { id = wid; label = x.label; value = x.value; parent = z.Node.id; pos = k });
       Matching.add st.m wid x.id;
-      mark_in_order st (working st wid) x
+      let w = working st wid in
+      mark_in_order st w x;
+      align_children st w x
     | Some w ->
       (* Update phase. *)
       if not (String.equal w.Node.value x.Node.value) then
@@ -232,13 +271,9 @@ let visit st (x : Node.t) =
         let k = find_pos st ~moving:w x in
         emit st (Op.Move { id = w.Node.id; parent = z.Node.id; pos = k });
         mark_in_order st w x
-      end));
-  (* Align phase for x's children. *)
-  match partner_of_new st x with
-  | Some w -> align_children st w x
-  | None ->
-    broken ~nodes:[ x.id ]
-      "node %d is still unmatched after the insert phase" x.id
+      end;
+      (* Align phase for x's children. *)
+      align_children st w x)
 
 let delete_phase st =
   Treediff_util.Exec.fault st.ex "edit_gen.delete";
@@ -251,7 +286,7 @@ let delete_phase st =
       if not (Matching.matched_old st.m n.id) then emit st (Op.Delete { id = n.id }))
     order
 
-let validate_input ~matching idx1 idx2 =
+let validate_pairs ~matching idx1 idx2 =
   List.iter
     (fun (xid, yid) ->
       match (Index.node_of_id idx1 xid, Index.node_of_id idx2 yid) with
@@ -272,7 +307,27 @@ let validate_input ~matching idx1 idx2 =
              "EditScript: matching references unknown T2 id %d" yid))
     (Matching.pairs matching)
 
-let generate ?exec ~matching t1 t2 =
+(* Every pair is well-formed when each matched T1 node's partner is a T2
+   node with its label and the pairs found that way are all there are.
+   That check walks T1's index without building the pair list; any doubt
+   falls back to [validate_pairs], which reports the first bad pair. *)
+let validate_input ~matching idx1 idx2 =
+  let ok = ref true and found = ref 0 in
+  for r = 0 to Index.size idx1 - 1 do
+    let x = Index.node idx1 r in
+    match Matching.partner_of_old matching x.Node.id with
+    | None -> ()
+    | Some yid ->
+      incr found;
+      let ry = Index.rank_of_id idx2 yid in
+      if ry < 0 || not (String.equal x.Node.label (Index.node idx2 ry).Node.label)
+      then ok := false
+  done;
+  if not (!ok && !found = Matching.cardinal matching) then
+    validate_pairs ~matching idx1 idx2
+
+let generate ?exec ?(model = Cost.unit) ~matching t1 t2 =
+  Cost.check model;
   let ex =
     match exec with Some e -> e | None -> Treediff_util.Exec.create ()
   in
@@ -300,14 +355,23 @@ let generate ?exec ~matching t1 t2 =
       (Script.rooted ~dummy:d1 t1, Script.rooted ~dummy:d2 t2, Some (d1, d2))
     end
   in
+  let t2_index = if t2_eff == t2 then idx2 else Index.build t2_eff in
+  (* The working tree's ids: T1's, a dummy root's, and one fresh id per
+     unmatched T2 node (each is inserted once). *)
+  let n2 = Index.size t2_index in
+  let w_index =
+    Id_table.of_tree ~size:(Index.size idx1 + 1 + n2 - Matching.cardinal matching) w_root
+  in
   let st =
     {
       w_root;
-      w_index = Tree.index_by_id w_root;
-      t2_index = (if t2_eff == t2 then idx2 else Index.build t2_eff);
+      w_index;
+      t2_index;
       m;
-      in_order1 = Hashtbl.create 64;
-      in_order2 = Hashtbl.create 64;
+      in_order1 = Bytes.make (Id_table.entries w_index + n2) '\000';
+      in_order2 = Bytes.make n2 '\000';
+      model;
+      measure = Script.zero;
       ex;
       budget;
       next_id = !next_id;
@@ -316,4 +380,10 @@ let generate ?exec ~matching t1 t2 =
   in
   Node.iter_bfs (visit st) t2_eff;
   delete_phase st;
-  { script = List.rev st.ops; total = st.m; transformed = st.w_root; dummy }
+  {
+    script = List.rev st.ops;
+    total = st.m;
+    transformed = st.w_root;
+    dummy;
+    measure = st.measure;
+  }

@@ -32,10 +32,16 @@ type result = {
   dummy : (int * int) option;
       (** [(d1, d2)] fresh dummy-root ids for T1 and T2 when roots were
           unmatched; the script's top-level inserts reference [d1] *)
+  measure : Treediff_edit.Script.measure;
+      (** the script's measure under [model], taken op by op as the
+          script is generated: equal, field for field, to
+          {!Treediff_edit.Script.measure} of the script on [t1]
+          (dummy-rooted when [dummy] is set) *)
 }
 
 val generate :
   ?exec:Treediff_util.Exec.t ->
+  ?model:Treediff_edit.Cost.t ->
   matching:Treediff_matching.Matching.t ->
   Treediff_tree.Node.t ->
   Treediff_tree.Node.t ->
@@ -44,7 +50,8 @@ val generate :
     ids of [t1] and [t2] (it is not mutated).  [exec] (default: a fresh
     context — unlimited budget, faults armed from the environment) supplies
     the budget, charged one visit per BFS step and per delete-phase node, so
-    a wall-clock deadline also bounds script generation.
+    a wall-clock deadline also bounds script generation.  [model]
+    (default {!Treediff_edit.Cost.unit}) prices the [measure].
 
     {b Index reuse.}  When a {!Treediff_matching.Criteria.ctx} was built on
     [exec] for these very trees (its indexes' roots are physically [t1] and
@@ -52,6 +59,7 @@ val generate :
     that ctx's two indexes, to validate the matching and, when no dummy root
     is added, as the T2 index.  Otherwise it indexes [t1] and [t2] itself.
     The script is the same either way.
+    @raise Invalid_argument if [model] fails {!Treediff_edit.Cost.check}.
     @raise Treediff_check.Diag.Failed if [matching] references unknown ids or
     matches nodes with different labels (updates cannot change labels).
     @raise Treediff_util.Budget.Exceeded on deadline expiry. *)

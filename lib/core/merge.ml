@@ -1,5 +1,6 @@
 module Node = Treediff_tree.Node
 module Tree = Treediff_tree.Tree
+module Id_table = Treediff_tree.Id_table
 module Op = Treediff_edit.Op
 
 type touch = { base_id : int; label : string; value : string; op : Op.t }
@@ -32,7 +33,7 @@ let touches base_index (result : Diff.t) =
         | Op.Insert _ -> None
       in
       match id with
-      | Some id when Hashtbl.mem base_index id ->
+      | Some id when Id_table.mem base_index id ->
         let prev = try Hashtbl.find tbl id with Not_found -> [] in
         Hashtbl.replace tbl id (op :: prev)
       | Some _ | None -> ())
@@ -51,11 +52,11 @@ let correlate ?config ?diff ~base ~ours ~theirs () =
   in
   let d_ours = diff base ours in
   let d_theirs = diff base theirs in
-  let base_index = Tree.index_by_id base in
+  let base_index = Id_table.of_tree base in
   let t_ours = touches base_index d_ours in
   let t_theirs = touches base_index d_theirs in
   let describe id =
-    let n : Node.t = Hashtbl.find base_index id in
+    let n : Node.t = Id_table.find base_index id in
     (n.Node.label, n.Node.value)
   in
   let conflicts = ref [] and ours_only = ref [] and theirs_only = ref [] in

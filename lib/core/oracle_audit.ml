@@ -1,5 +1,6 @@
 module Node = Treediff_tree.Node
 module Tree = Treediff_tree.Tree
+module Id_table = Treediff_tree.Id_table
 module Matching = Treediff_matching.Matching
 module Exec = Treediff_util.Exec
 module Budget = Treediff_util.Budget
@@ -57,7 +58,7 @@ let restricted_matching m x y =
 let run ?(exec = Exec.create ()) ?(max_nodes = 8) ?max_states ~matching ~t1
     ~t2 () =
   let budget = Exec.budget exec in
-  let index2 = Tree.index_by_id t2 in
+  let index2 = Id_table.of_tree t2 in
   let audits = ref [] in
   (* Top-down walk: audit each maximal matched pair whose subtrees both fit
      the node budget, and do not descend into audited subtrees — the
@@ -67,7 +68,7 @@ let run ?(exec = Exec.create ()) ?(max_nodes = 8) ?max_states ~matching ~t1
     let descend () = List.iter go (Node.children x) in
     match Matching.partner_of_old matching x.Node.id with
     | Some yid when Node.size x <= max_nodes -> (
-      match Hashtbl.find_opt index2 yid with
+      match Id_table.find_opt index2 yid with
       | Some y when Node.size y <= max_nodes -> (
         match restricted_matching matching x y with
         | None -> descend ()

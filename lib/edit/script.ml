@@ -1,5 +1,6 @@
 module Node = Treediff_tree.Node
 module Tree = Treediff_tree.Tree
+module Id_table = Treediff_tree.Id_table
 
 type t = Op.t list
 
@@ -19,14 +20,14 @@ let unweighted m = m.inserts + m.deletes + m.updates + m.moves
 let err fmt = Printf.ksprintf (fun s -> raise (Apply_error s)) fmt
 
 let lookup index id =
-  match Hashtbl.find_opt index id with
-  | Some n -> n
-  | None -> err "no node with id %d" id
+  match Id_table.find index id with
+  | n -> n
+  | exception Not_found -> err "no node with id %d" id
 
 let apply_into ~root ~index op =
   match op with
   | Op.Insert { id; label; value; parent; pos } ->
-    if Hashtbl.mem index id then err "insert: id %d already present" id;
+    if Id_table.mem index id then err "insert: id %d already present" id;
     let p = lookup index parent in
     let k = pos - 1 in
     if k < 0 || k > Node.child_count p then
@@ -34,13 +35,13 @@ let apply_into ~root ~index op =
         (Node.child_count p);
     let n = Node.make ~id ~label ~value () in
     Node.insert_child p k n;
-    Hashtbl.replace index id n
+    Id_table.replace index id n
   | Op.Delete { id } ->
     let n = lookup index id in
     if not (Node.is_leaf n) then err "delete: node %d is not a leaf" id;
     if n.Node.id = root.Node.id then err "delete: cannot delete the root";
     Node.detach n;
-    Hashtbl.remove index id
+    Id_table.remove index id
   | Op.Update { id; value } ->
     let n = lookup index id in
     n.Node.value <- value
@@ -77,7 +78,7 @@ let rooted ?dummy t =
 
 let replay ?dummy t script =
   let root = match dummy with None -> t | Some d1 -> graft d1 t in
-  let index = Tree.index_by_id root in
+  let index = Id_table.of_tree root in
   List.iter (apply_into ~root ~index) script;
   if dummy = None then root else unwrap root
 
@@ -93,7 +94,7 @@ let apply ?dummy t1 script = replay ?dummy (Tree.copy t1) script
    included. *)
 let invert t1 script =
   let root = Tree.copy t1 in
-  let index = Tree.index_by_id root in
+  let index = Id_table.of_tree root in
   let parent_pos id =
     let n = lookup index id in
     match n.Node.parent with
@@ -220,35 +221,37 @@ let compose s1 s2 =
   done;
   !out
 
+let zero = { cost = 0.0; weighted = 0; inserts = 0; deletes = 0; updates = 0; moves = 0 }
+
+(* Measure before applying: update needs the old value, move needs the
+   subtree's leaf count at move time. *)
+let charge model ~index m op =
+  match op with
+  | Op.Insert _ ->
+    { m with cost = m.cost +. model.Cost.c_ins; weighted = m.weighted + 1;
+             inserts = m.inserts + 1 }
+  | Op.Delete _ ->
+    { m with cost = m.cost +. model.Cost.c_del; weighted = m.weighted + 1;
+             deletes = m.deletes + 1 }
+  | Op.Update { id; value } ->
+    let n = lookup index id in
+    let c = model.Cost.compare n.Node.value value in
+    { m with cost = m.cost +. c; updates = m.updates + 1 }
+  | Op.Move { id; _ } ->
+    let n = lookup index id in
+    { m with cost = m.cost +. model.Cost.c_mov;
+             weighted = m.weighted + Node.leaf_count n; moves = m.moves + 1 }
+
 let measure ?(model = Cost.unit) t1 script =
   Cost.check model;
   let root = Tree.copy t1 in
-  let index = Tree.index_by_id root in
-  let m =
-    ref { cost = 0.0; weighted = 0; inserts = 0; deletes = 0; updates = 0; moves = 0 }
-  in
-  List.iter
-    (fun op ->
-      (* Measure before applying: update needs the old value, move needs the
-         subtree's leaf count at move time. *)
-      (match op with
-      | Op.Insert _ ->
-        m := { !m with cost = !m.cost +. model.Cost.c_ins; weighted = !m.weighted + 1;
-               inserts = !m.inserts + 1 }
-      | Op.Delete _ ->
-        m := { !m with cost = !m.cost +. model.Cost.c_del; weighted = !m.weighted + 1;
-               deletes = !m.deletes + 1 }
-      | Op.Update { id; value } ->
-        let n = lookup index id in
-        let c = model.Cost.compare n.Node.value value in
-        m := { !m with cost = !m.cost +. c; updates = !m.updates + 1 }
-      | Op.Move { id; _ } ->
-        let n = lookup index id in
-        m := { !m with cost = !m.cost +. model.Cost.c_mov;
-               weighted = !m.weighted + Node.leaf_count n; moves = !m.moves + 1 });
-      apply_into ~root ~index op)
-    script;
-  !m
+  let index = Id_table.of_tree root in
+  List.fold_left
+    (fun m op ->
+      let m = charge model ~index m op in
+      apply_into ~root ~index op;
+      m)
+    zero script
 
 let cost ?model t1 script = (measure ?model t1 script).cost
 

@@ -23,7 +23,8 @@ type measure = {
 val unweighted : measure -> int
 (** The paper's d: total number of operations. *)
 
-val apply_into : root:Treediff_tree.Node.t -> index:(int, Treediff_tree.Node.t) Hashtbl.t -> Op.t -> unit
+val apply_into :
+  root:Treediff_tree.Node.t -> index:Treediff_tree.Id_table.t -> Op.t -> unit
 (** Apply one operation in place, maintaining [index].
     @raise Apply_error if a precondition fails. *)
 
@@ -72,6 +73,18 @@ val compose : t -> t -> t
     Structural operations are never elided: positions are interpreted
     against the tree state at application time, so cancelling them is not
     semantics-preserving in general. *)
+
+val zero : measure
+(** The measure of the empty script. *)
+
+val charge :
+  Cost.t -> index:Treediff_tree.Id_table.t -> measure -> Op.t -> measure
+(** [charge model ~index m op] is [m] plus [op], measured against the tree
+    [index] holds {e before} [op] is applied (the old value of an update,
+    the subtree leaf count of a move) — the step {!measure} takes per
+    operation, for a caller that applies the script itself with
+    {!apply_into}.  The model is not {!Cost.check}ed.
+    @raise Apply_error if an update or move names an absent id. *)
 
 val measure : ?model:Cost.t -> Treediff_tree.Node.t -> t -> measure
 (** [measure t1 script] applies the script to a copy of [t1] (to observe old

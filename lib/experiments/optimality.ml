@@ -46,14 +46,14 @@ let structural_lower_bound ~matching t1 t2 =
   Node.iter_preorder
     (fun (x : Node.t) -> if not (Matching.matched_old matching x.id) then incr unmatched_old)
     t1;
-  let idx2 = Treediff_tree.Tree.index_by_id t2 in
+  let idx2 = Treediff_tree.Id_table.of_tree t2 in
   let inter_moves = ref 0 in
   Node.iter_preorder
     (fun (x : Node.t) ->
       match Matching.partner_of_old matching x.id with
       | None -> ()
       | Some yid -> (
-        let y = Hashtbl.find idx2 yid in
+        let y = Treediff_tree.Id_table.find idx2 yid in
         match (x.Node.parent, y.Node.parent) with
         | None, None -> ()
         | Some px, Some py ->
@@ -67,13 +67,13 @@ let structural_lower_bound ~matching t1 t2 =
       match Matching.partner_of_old matching x.id with
       | None -> ()
       | Some yid ->
-        let y = Hashtbl.find idx2 yid in
+        let y = Treediff_tree.Id_table.find idx2 yid in
         let s1 =
           List.filter
             (fun (a : Node.t) ->
               match Matching.partner_of_old matching a.id with
               | Some bid -> (
-                match (Hashtbl.find_opt idx2 bid : Node.t option) with
+                match Treediff_tree.Id_table.find_opt idx2 bid with
                 | Some b -> (
                   match b.Node.parent with Some p -> p.Node.id = y.Node.id | None -> false)
                 | None -> false)

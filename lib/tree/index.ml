@@ -21,13 +21,23 @@ module Interner = struct
   let name t id = Vec.get t.names id
 end
 
+(* id -> preorder rank: a direct array while the ids are dense (as those
+   one [Tree.gen] hands out to a pair are), an id table otherwise, so an
+   index never costs more than a few words per node whatever its ids. *)
+type ranks =
+  | Dense of int array           (* node id -> preorder rank, -1 if absent *)
+  | Sparse of Id_table.t         (* entry number = preorder rank *)
+
+let dense_enough ~max_id ~size = max_id < 4 * (size + 16)
+
 type t = {
   root : Node.t;
   interner : Interner.t;
   values : Interner.t;
   size : int;
   nodes : Node.t array;          (* preorder rank -> node *)
-  rank_of : int array;           (* node id -> preorder rank, -1 if absent *)
+  ranks : ranks;
+  max_id : int;
   last : int array;              (* rank -> last preorder rank inside the subtree *)
   post : int array;              (* rank -> postorder number *)
   parent : int array;            (* rank -> parent's rank, -1 for the root *)
@@ -103,8 +113,18 @@ let build ?interner ?values (root : Node.t) =
       Vec.iteri (fun i c -> rev := Ev.Enter (r, i, d + 1, c) :: !rev) x.Node.children;
       List.iter (fun ev -> stack := ev :: !stack) !rev
   done;
-  let rank_of = Array.make (!max_id + 1) (-1) in
-  Array.iteri (fun r (x : Node.t) -> rank_of.(x.Node.id) <- r) nodes;
+  let ranks =
+    if dense_enough ~max_id:!max_id ~size:n then begin
+      let rank_of = Array.make (!max_id + 1) (-1) in
+      Array.iteri (fun r (x : Node.t) -> rank_of.(x.Node.id) <- r) nodes;
+      Dense rank_of
+    end
+    else begin
+      let tbl = Id_table.create ~size:n () in
+      Array.iter (fun (x : Node.t) -> Id_table.replace tbl x.Node.id x) nodes;
+      Sparse tbl
+    end
+  in
   (* Per-label chains: exact-size arrays, filled in preorder. *)
   let nlabels = Interner.count interner in
   let leaf_n = Array.make nlabels 0
@@ -141,7 +161,8 @@ let build ?interner ?values (root : Node.t) =
     values;
     size = n;
     nodes;
-    rank_of;
+    ranks;
+    max_id = !max_id;
     last;
     post;
     parent;
@@ -172,11 +193,13 @@ let interner t = t.interner
 let node t r = t.nodes.(r)
 
 let rank_of_id t id =
-  if id >= 0 && id < Array.length t.rank_of then t.rank_of.(id) else -1
+  match t.ranks with
+  | Dense rank_of -> if id >= 0 && id < Array.length rank_of then rank_of.(id) else -1
+  | Sparse tbl -> Id_table.entry tbl id
 
 let mem_id t id = rank_of_id t id >= 0
 
-let max_id t = Array.length t.rank_of - 1
+let max_id t = t.max_id
 
 let node_of_id t id =
   let r = rank_of_id t id in

@@ -5,8 +5,11 @@
     intervals, postorder numbers, parent and child-position links, subtree
     leaf counts, depth/height, interned label ids, the leaf sequence, and
     per-label node chains (leaves, internals, and all nodes — each in
-    preorder).  Node identifiers map to ranks through a dense [id -> rank]
-    array, so every lookup that used to hash now reads an array slot.
+    preorder).  Node identifiers map to ranks through a direct [id -> rank]
+    array while the ids are dense (below four times the node count, as the
+    ids one {!Tree.gen} hands a pair are), and through an {!Id_table}
+    otherwise, so the index's memory follows the node count, never the
+    largest id.
 
     Invariants (checked by [test_index.ml]):
     - preorder intervals nest: for a child [c] of [r],

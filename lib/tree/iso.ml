@@ -7,20 +7,21 @@ let node_agrees (a : Node.t) (b : Node.t) =
   && Node.child_count a = Node.child_count b
 
 let equal (a : Node.t) (b : Node.t) =
-  let ok = ref true in
-  let stack = ref [ (a, b) ] in
-  while !ok && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (x, y) :: rest ->
-      stack := rest;
-      if node_agrees x y then
-        List.iter2
-          (fun cx cy -> stack := (cx, cy) :: !stack)
-          (Node.children x) (Node.children y)
-      else ok := false
-  done;
-  !ok
+  (* two stacks in step, children pushed by index, leftmost on top *)
+  let rec loop xs ys =
+    match (xs, ys) with
+    | x :: xs, y :: ys ->
+      node_agrees x y
+      &&
+      let xs = ref xs and ys = ref ys in
+      for i = Node.child_count x - 1 downto 0 do
+        xs := Node.child x i :: !xs;
+        ys := Node.child y i :: !ys
+      done;
+      loop !xs !ys
+    | _ -> true
+  in
+  loop [ a ] [ b ]
 
 (* Structural hash: fold an open/close-bracketed preorder token stream, so
    two trees hash equally iff they emit the same stream — exactly the

@@ -13,7 +13,7 @@ let make ~id ~label ?(value = "") () =
 
 let is_leaf n = Vec.is_empty n.children
 
-let is_root n = n.parent = None
+let is_root n = match n.parent with None -> true | Some _ -> false
 
 let children n = Vec.to_list n.children
 
@@ -30,7 +30,9 @@ let child_index n =
     | None -> invalid_arg "Node.child_index: node not found among parent's children")
 
 let insert_child parent i c =
-  if c.parent <> None then invalid_arg "Node.insert_child: child is already attached";
+  (match c.parent with
+  | Some _ -> invalid_arg "Node.insert_child: child is already attached"
+  | None -> ());
   Vec.insert parent.children i c;
   c.parent <- Some parent
 
@@ -77,17 +79,18 @@ let find_child p n =
 (* All whole-tree walks use explicit stacks: trees can be deeper than the
    OCaml call stack (100k-node paths appear in the resilience tests). *)
 let iter_preorder f n =
-  let stack = ref [ n ] in
-  while !stack <> [] do
-    match !stack with
+  let rec loop = function
     | [] -> ()
     | x :: rest ->
-      stack := rest;
       f x;
-      (* push children so the leftmost ends up on top *)
-      let rev = Vec.fold (fun acc c -> c :: acc) [] x.children in
-      List.iter (fun c -> stack := c :: !stack) rev
-  done
+      (* push children by index so the leftmost ends up on top *)
+      let stack = ref rest in
+      for i = Vec.length x.children - 1 downto 0 do
+        stack := Vec.get x.children i :: !stack
+      done;
+      loop !stack
+  in
+  loop [ n ]
 
 let iter_postorder f n =
   (* frames: a node paired with its not-yet-visited children *)
@@ -140,7 +143,20 @@ let collect iter n =
 
 let preorder n = collect iter_preorder n
 
-let postorder n = collect iter_postorder n
+(* Children pushed left to right, so the walk visits each node's subtrees
+   right to left, and consing each visited node onto the result reverses
+   that into postorder. *)
+let postorder n =
+  let rec loop acc = function
+    | [] -> acc
+    | x :: rest ->
+      let stack = ref rest in
+      for i = 0 to Vec.length x.children - 1 do
+        stack := Vec.get x.children i :: !stack
+      done;
+      loop (x :: acc) !stack
+  in
+  loop [] [ n ]
 
 let bfs n = collect iter_bfs n
 

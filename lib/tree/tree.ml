@@ -17,24 +17,26 @@ let leaf g label value = node g label ~value []
 (* Explicit-stack preorder clone: copies must survive trees deeper than the
    call stack.  Nodes are created in preorder (so [relabel_ids] numbers them
    exactly as the old recursive version did) and appended to their parent
-   copy as they are visited. *)
+   copy as they are visited.  A frame per internal node walks its children
+   by index. *)
+type frame = { src : Node.t; dst : Node.t; mutable next : int }
+
 let clone_with make_node (n : Node.t) =
   let root = make_node n in
-  let push stack src dst =
-    let rev = Node.fold_children (fun acc c -> (c, dst) :: acc) [] src in
-    List.iter (fun frame -> stack := frame :: !stack) rev
-  in
-  let stack = ref [] in
-  push stack n root;
-  while !stack <> [] do
-    match !stack with
+  let rec loop = function
     | [] -> ()
-    | (src, dst_parent) :: rest ->
-      stack := rest;
-      let dst = make_node src in
-      Node.append_child dst_parent dst;
-      push stack src dst
-  done;
+    | fr :: rest as stack ->
+      if fr.next = Node.child_count fr.src then loop rest
+      else begin
+        let src = Node.child fr.src fr.next in
+        fr.next <- fr.next + 1;
+        let dst = make_node src in
+        Node.append_child fr.dst dst;
+        if Node.is_leaf src then loop stack
+        else loop ({ src; dst; next = 0 } :: stack)
+      end
+  in
+  loop [ { src = n; dst = root; next = 0 } ];
   root
 
 let copy (n : Node.t) =
@@ -48,11 +50,6 @@ let max_id n =
   !m
 
 let size = Node.size
-
-let index_by_id n =
-  let h = Hashtbl.create 64 in
-  Node.iter_preorder (fun x -> Hashtbl.replace h x.Node.id x) n;
-  h
 
 let find_by_id n id =
   let found = ref None in

@@ -27,10 +27,6 @@ val max_id : Node.t -> int
 
 val size : Node.t -> int
 
-val index_by_id : Node.t -> (int, Node.t) Hashtbl.t
-(** Identifier → node map over the subtree.  Computed eagerly; invalidated by
-    subsequent mutation. *)
-
 val find_by_id : Node.t -> int -> Node.t option
 
 val relabel_ids : gen -> Node.t -> Node.t

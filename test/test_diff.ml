@@ -231,6 +231,35 @@ let test_word_compare_identity () =
       ("large dup", dup Docgen.large, (10, 16), 2);
     ]
 
+(* An index's memory follows the node count, not the largest id: the
+   id-preserving binary codec reads any varint as an id, and a direct
+   [id -> rank] array sized by the id took 1.6 GB for one id of 10^8.
+   Two 2-leaf trees with ids 10^9 and 2^40 diff in well under a MiB. *)
+let test_sparse_id_allocation () =
+  let doc root leaves =
+    let d = Node.make ~id:root ~label:"D" () in
+    List.iter
+      (fun (id, value) -> Node.append_child d (Node.make ~id ~label:"S" ~value ()))
+      leaves;
+    d
+  in
+  let t1 = doc 1 [ (2, "a"); (1_000_000_000, "b") ]
+  and t2 = doc 3 [ (1 lsl 40, "a"); (4, "c") ] in
+  List.iter
+    (fun check ->
+      let config = Config.with_check check Config.default in
+      let before = Gc.allocated_bytes () in
+      let r = Diff.diff_result ~config t1 t2 in
+      let bytes = Gc.allocated_bytes () -. before in
+      (match r with
+      | Ok r ->
+        Alcotest.(check bool) "full quality" true (r.Diff.degraded = None);
+        Alcotest.(check bool) "check passes" true (Diff.check r ~t1 ~t2 = Ok ())
+      | Error _ -> Alcotest.fail "sparse-id diff failed");
+      if bytes >= 1048576. then
+        Alcotest.failf "check=%b: diff allocated %.0f bytes" check bytes)
+    [ false; true ]
+
 let () =
   Alcotest.run "diff"
     [
@@ -244,6 +273,7 @@ let () =
           Alcotest.test_case "custom compare" `Quick test_config_with_compare;
           Alcotest.test_case "empty matching" `Quick test_diff_with_matching_empty;
           Alcotest.test_case "measure consistency" `Quick test_measure_consistency;
+          Alcotest.test_case "sparse-id allocation" `Quick test_sparse_id_allocation;
           Alcotest.test_case "word compare byte identity" `Quick
             test_word_compare_identity;
         ] );

@@ -139,7 +139,7 @@ let test_pure_delete () =
   Alcotest.(check int) "two deletes" 2 (ops_of_kind r `Del);
   match r.Edit_gen.script with
   | [ Op.Delete { id = first }; Op.Delete { id = second } ] ->
-    let idx = Tree.index_by_id t1 in
+    let idx = Test_support.index_by_id t1 in
     let label id = (Hashtbl.find idx id).Node.label in
     Alcotest.(check string) "leaf deleted first" "S" (label first);
     Alcotest.(check string) "parent deleted second" "P" (label second)
@@ -505,12 +505,63 @@ let prefix_application_prop =
         | None -> Tree.copy t1
         | Some (d1, _) -> Script.rooted ~dummy:d1 t1
       in
-      let index = Tree.index_by_id base in
+      let index = Treediff_tree.Id_table.of_tree base in
       List.for_all
         (fun op ->
           Script.apply_into ~root:base ~index op;
           Treediff_tree.Invariant.check base = Ok ())
         r.Edit_gen.script)
+
+(* Differential: the measure Edit_gen takes op by op while it generates
+   equals [Script.measure] replaying the finished script on the rooted
+   base, field by field, the cost to the bit.  320 pairs cycle through
+   Docgen/Mutate and Treegen inputs, a matching with the root pair or
+   without it (dummy-rooted), and the unit and word-LCS cost models. *)
+let test_measure_differential () =
+  let word = Treediff_textdiff.Word_compare.distance in
+  let models = [| Treediff_edit.Cost.unit; Treediff_edit.Cost.with_compare word |] in
+  let word_ctx = Criteria.make ~compare:word () in
+  let dummies = ref 0 in
+  for i = 0 to 319 do
+    let g = P.create (7919 * i) in
+    let gen = Tree.gen () in
+    let t1, t2, criteria =
+      if i mod 2 = 0 then
+        let doc = Treediff_workload.Docgen.generate g gen Treediff_workload.Docgen.small in
+        let doc', _ = Treediff_workload.Mutate.mutate g gen doc ~actions:(1 + P.int g 12) in
+        (doc, doc', word_ctx)
+      else
+        let t1 =
+          Treediff_workload.Treegen.random_document g gen
+            ~paragraphs:(1 + P.int g 6) ~vocab:(5 + P.int g 60)
+        in
+        (t1, Treediff_workload.Treegen.perturb g gen t1, Criteria.default)
+    in
+    let m = Fast.run (Criteria.ctx criteria ~t1 ~t2) in
+    if i / 2 mod 2 = 1 then Matching.remove m t1.Node.id t2.Node.id;
+    let model = models.(i / 4 mod 2) in
+    let r = Edit_gen.generate ~model ~matching:m t1 t2 in
+    if r.Edit_gen.dummy <> None then incr dummies;
+    let base = Script.rooted ?dummy:(Option.map fst r.Edit_gen.dummy) t1 in
+    let want = Script.measure ~model base r.Edit_gen.script
+    and got = r.Edit_gen.measure in
+    let field name a b =
+      if a <> b then Alcotest.failf "pair %d: %s %d, replay %d" i name a b
+    in
+    if
+      not
+        (Int64.equal
+           (Int64.bits_of_float got.Script.cost)
+           (Int64.bits_of_float want.Script.cost))
+    then Alcotest.failf "pair %d: cost %h, replay %h" i got.Script.cost want.Script.cost;
+    field "weighted" got.Script.weighted want.Script.weighted;
+    field "inserts" got.Script.inserts want.Script.inserts;
+    field "deletes" got.Script.deletes want.Script.deletes;
+    field "updates" got.Script.updates want.Script.updates;
+    field "moves" got.Script.moves want.Script.moves
+  done;
+  (* the root pair was dropped from half the matchings *)
+  Alcotest.(check bool) "dummy-rooted pairs" true (!dummies >= 160 && !dummies < 320)
 
 let () =
   Alcotest.run "editscript"
@@ -553,5 +604,7 @@ let () =
           QCheck_alcotest.to_alcotest transforms_hostile_prop;
           QCheck_alcotest.to_alcotest structural_minimality_prop;
           QCheck_alcotest.to_alcotest prefix_application_prop;
+          Alcotest.test_case "generated measure = replayed measure" `Quick
+            test_measure_differential;
         ] );
     ]

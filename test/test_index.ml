@@ -187,7 +187,7 @@ let ref_equal_nodes (crit : Criteria.t) t2_by_id m (x : Node.t) (y : Node.t) =
   | _ -> false
 
 let ref_fast_match crit t1 t2 =
-  let t2_by_id = Tree.index_by_id t2 in
+  let t2_by_id = Test_support.index_by_id t2 in
   let m = Matching.create () in
   let match_label l ~leaf =
     let unmatched side nodes =
@@ -222,7 +222,7 @@ let ref_fast_match crit t1 t2 =
   m
 
 let ref_simple_match crit t1 t2 =
-  let t2_by_id = Tree.index_by_id t2 in
+  let t2_by_id = Test_support.index_by_id t2 in
   let m = Matching.create () in
   let bottom_up =
     List.map (fun n -> (Node.height n, n)) (Node.preorder t1)

@@ -266,7 +266,7 @@ let matching_validity_prop =
           ~vocab:(5 + P.int g 40)
       in
       let m = Fast.run (Criteria.ctx Criteria.default ~t1 ~t2) in
-      let idx1 = Tree.index_by_id t1 and idx2 = Tree.index_by_id t2 in
+      let idx1 = Test_support.index_by_id t1 and idx2 = Test_support.index_by_id t2 in
       List.for_all
         (fun (x, y) ->
           match (Hashtbl.find_opt idx1 x, Hashtbl.find_opt idx2 y) with
@@ -423,7 +423,7 @@ let postprocess_validity_prop =
       let m = Fast.run ctx in
       let before = Matching.cardinal m in
       ignore (Treediff_matching.Postprocess.run ctx m);
-      let idx1 = Tree.index_by_id t1 and idx2 = Tree.index_by_id t2 in
+      let idx1 = Test_support.index_by_id t1 and idx2 = Test_support.index_by_id t2 in
       Matching.cardinal m = before
       && List.for_all
            (fun (x, y) ->
@@ -595,7 +595,7 @@ let test_greedy_deterministic_and_scored () =
   let b = Sim_index.greedy ~t1 ~t2 () in
   Alcotest.(check bool) "deterministic" true (Matching.equal a b);
   (* one-to-one and label-respecting by construction *)
-  let by_id1 = Tree.index_by_id t1 and by_id2 = Tree.index_by_id t2 in
+  let by_id1 = Test_support.index_by_id t1 and by_id2 = Test_support.index_by_id t2 in
   List.iter
     (fun (x, y) ->
       match (Hashtbl.find_opt by_id1 x, Hashtbl.find_opt by_id2 y) with

@@ -2,6 +2,15 @@
 
 let structural_lower_bound = Treediff_experiments.Optimality.structural_lower_bound
 
+(* Id -> node as a plain [Hashtbl]: an oracle independent of the library's
+   own id table. *)
+let index_by_id root =
+  let h = Hashtbl.create 64 in
+  Treediff_tree.Node.iter_preorder
+    (fun (x : Treediff_tree.Node.t) -> Hashtbl.replace h x.id x)
+    root;
+  h
+
 (* LaDiff's §7 sentence distance computed the plain way: the tokenizer and
    Myers' LCS over the words themselves, with no memo, no interning and no
    bit-parallel kernel.  The reference [Word_compare.distance] must equal

@@ -93,8 +93,8 @@ let test_relabel_ids () =
 
 let test_index_and_find () =
   let t = sample () in
-  let idx = Tree.index_by_id t in
-  Alcotest.(check int) "index size" 6 (Hashtbl.length idx);
+  let idx = Treediff_tree.Id_table.of_tree t in
+  Alcotest.(check int) "index size" 6 (Treediff_tree.Id_table.length idx);
   Alcotest.(check string) "find value" "c"
     (match Tree.find_by_id t 6 with Some n -> n.Node.value | None -> "?");
   Alcotest.(check bool) "find missing" true (Tree.find_by_id t 99 = None);
@@ -171,6 +171,85 @@ let invariant_detects_breakage =
       let t = random_tree g gen 0 in
       Invariant.check t = Ok ())
 
+(* The id table against a [Hashtbl] reference: random replace, remove
+   and find sequences over id pools that are dense, sparse, huge and
+   negative.  Entry numbers stay below [entries], are distinct among the
+   present ids, survive a replace, and are fresh after a re-add. *)
+module Id_table = Treediff_tree.Id_table
+
+let id_table_prop =
+  QCheck2.Test.make ~name:"id table agrees with Hashtbl" ~count:300
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let g = P.create seed in
+      let pool =
+        match seed mod 4 with
+        | 0 -> Array.init 40 (fun i -> i)
+        | 1 -> Array.init 200 (fun _ -> P.int g 1_000_000_000)
+        | 2 ->
+          Array.init 60 (fun i ->
+              match i mod 4 with
+              | 0 -> max_int - i
+              | 1 -> min_int + i
+              | 2 -> (1 lsl 40) + (i * 1024)
+              | _ -> 1_000_000_000 * i)
+        | _ -> Array.init 80 (fun i -> if i mod 2 = 0 then -i else -(P.int g max_int))
+      in
+      let t = Id_table.create ~size:(P.int g 8) () and h = Hashtbl.create 8 in
+      let entry_of = Hashtbl.create 8 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      for _ = 1 to 400 + P.int g 400 do
+        let id = P.pick g pool in
+        (match P.int g 5 with
+        | 0 | 1 ->
+          let n = Node.make ~id ~label:"S" () in
+          let before = Id_table.entry t id in
+          Id_table.replace t id n;
+          Hashtbl.replace h id n;
+          if before >= 0 then expect (Id_table.entry t id = before)
+          else begin
+            (* a fresh number, also after the id was removed *)
+            expect (Id_table.entry t id = Id_table.entries t - 1);
+            expect (not (Hashtbl.mem entry_of (Id_table.entry t id)));
+            Hashtbl.replace entry_of (Id_table.entry t id) ()
+          end
+        | 2 ->
+          Id_table.remove t id;
+          Hashtbl.remove h id
+        | _ -> ());
+        (match (Id_table.find_opt t id, Hashtbl.find_opt h id) with
+        | Some a, Some b -> expect (a == b && Id_table.find t id == b)
+        | None, None ->
+          expect (Id_table.entry t id = -1 && not (Id_table.mem t id));
+          expect (match Id_table.find t id with _ -> false | exception Not_found -> true)
+        | Some _, None | None, Some _ -> expect false);
+        expect (Id_table.length t = Hashtbl.length h)
+      done;
+      Hashtbl.iter
+        (fun id n ->
+          expect (Id_table.find t id == n);
+          expect (Id_table.entry t id < Id_table.entries t))
+        h;
+      !ok)
+
+let test_id_table_reinsert () =
+  let t = Id_table.create () in
+  let a = Node.make ~id:7 ~label:"A" () and b = Node.make ~id:7 ~label:"B" () in
+  Id_table.replace t 7 a;
+  let e = Id_table.entry t 7 in
+  Id_table.remove t 7;
+  Alcotest.(check bool) "gone" false (Id_table.mem t 7);
+  Alcotest.(check int) "length" 0 (Id_table.length t);
+  Id_table.remove t 7;
+  Id_table.replace t 7 b;
+  Alcotest.(check bool) "found again" true (Id_table.find t 7 == b);
+  Alcotest.(check bool) "fresh entry number" true (Id_table.entry t 7 > e);
+  (* of_tree numbers nodes by preorder rank *)
+  let t = Id_table.of_tree (sample ()) in
+  Alcotest.(check (list int)) "preorder ranks" [ 0; 1; 2; 3; 4; 5 ]
+    (List.map (Id_table.entry t) [ 1; 2; 3; 4; 5; 6 ])
+
 let test_invariant_violation () =
   let gen = Tree.gen () in
   let t = Tree.node gen "D" [ Tree.leaf gen "S" "x" ] in
@@ -194,6 +273,8 @@ let () =
           Alcotest.test_case "copy preserves structure+ids" `Quick test_copy_preserves;
           Alcotest.test_case "relabel ids" `Quick test_relabel_ids;
           Alcotest.test_case "index and find" `Quick test_index_and_find;
+          Alcotest.test_case "id table remove then re-add" `Quick test_id_table_reinsert;
+          QCheck_alcotest.to_alcotest id_table_prop;
         ] );
       ( "iso",
         [ Alcotest.test_case "differences detected" `Quick test_iso_differences ] );

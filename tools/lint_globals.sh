@@ -113,5 +113,22 @@ if [ -n "$bad" ]; then
   status=1
 fi
 
+# @lint one-id-table
+# Node ids map to nodes through one table, Treediff_tree.Id_table: open
+# addressing whose memory follows the node count and whose lookups
+# allocate nothing.  An id-keyed Hashtbl of nodes (the old
+# Tree.index_by_id, a `(int, Node.t) Hashtbl.t`, or a Hashtbl filled with
+# `x.id x`) costs a block per node, and Script, Edit_gen and Delta each
+# rebuilt one per diff.  Tests may keep a Hashtbl as an independent oracle.
+bad=$(grep -rn -E \
+        'index_by_id|\(int, *([A-Za-z_]+\.)*Node\.t\) *Hashtbl\.t|Hashtbl\.(add|replace) [A-Za-z0-9_.]+ \(?([a-z_][A-Za-z0-9_]*)\.(Node\.)?id\)? \3([^A-Za-z0-9_.]|$)' \
+        "$root/lib" --include='*.ml' --include='*.mli' || true)
+bad=$(filter_allowed "$bad")
+if [ -n "$bad" ]; then
+  echo 'lint_globals: id-keyed node Hashtbl in lib/ (use Treediff_tree.Id_table):' >&2
+  printf '%s\n' "$bad" >&2
+  status=1
+fi
+
 if [ "$status" -ne 0 ]; then exit "$status"; fi
 echo 'lint_globals: ok'
