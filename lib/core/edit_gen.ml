@@ -174,40 +174,32 @@ let align_matched st (w : Node.t) (x : Node.t) =
   done;
   let arr1 = Vec.to_array s1 and arr2 = Vec.to_array s2 in
   let equal (a : Node.t) (b : Node.t) = Matching.mem st.m a.id b.id in
-  let n = Array.length arr1 in
-  let rec in_step i = i = n || (equal arr1.(i) arr2.(i) && in_step (i + 1)) in
-  if n = Array.length arr2 && in_step 0 then
-    Array.iteri (fun i a -> mark_in_order st a arr2.(i)) arr1
-  else begin
-    let lcs = Myers.lcs ~equal arr1 arr2 in
-    List.iter (fun (i, j) -> mark_in_order st arr1.(i) arr2.(j)) lcs;
-    Array.iter
-      (fun (a : Node.t) ->
-        if not (in_order1 st a.id) then begin
-          let b =
-            match Matching.partner_of_old st.m a.id with
-            | Some bid -> (
-              match Index.node_of_id st.t2_index bid with
-              | Some b -> b
-              | None ->
-                broken ~nodes:[ a.id; bid ]
-                  "AlignChildren: partner %d of node %d is not in T2" bid a.id)
+  let lcs = Myers.lcs ~equal arr1 arr2 in
+  List.iter (fun (i, j) -> mark_in_order st arr1.(i) arr2.(j)) lcs;
+  Array.iter
+    (fun (a : Node.t) ->
+      if not (in_order1 st a.id) then begin
+        let b =
+          match Matching.partner_of_old st.m a.id with
+          | Some bid -> (
+            match Index.node_of_id st.t2_index bid with
+            | Some b -> b
             | None ->
-              broken ~nodes:[ a.id ]
-                "AlignChildren: node %d entered S1 without a partner" a.id
-          in
-          let k = find_pos st ~moving:a b in
-          emit st (Op.Move { id = a.id; parent = w.id; pos = k });
-          mark_in_order st a b
-        end)
-      arr1
-  end
+              broken ~nodes:[ a.id; bid ]
+                "AlignChildren: partner %d of node %d is not in T2" bid a.id)
+          | None ->
+            broken ~nodes:[ a.id ]
+              "AlignChildren: node %d entered S1 without a partner" a.id
+        in
+        let k = find_pos st ~moving:a b in
+        emit st (Op.Move { id = a.id; parent = w.id; pos = k });
+        mark_in_order st a b
+      end)
+    arr1
 
 (* AlignChildren (Fig. 9): LCS the mutually-parented matched children, then
    move the misaligned remainder into place.  A leaf on either side has no
-   such children, and children already in matched order are their own LCS
-   (the only common subsequence as long as both), so those two cases skip
-   the LCS. *)
+   such children. *)
 let align_children st (w : Node.t) (x : Node.t) =
   Treediff_util.Exec.fault st.ex "edit_gen.align";
   for i = 0 to Node.child_count w - 1 do
@@ -286,7 +278,7 @@ let delete_phase st =
       if not (Matching.matched_old st.m n.id) then emit st (Op.Delete { id = n.id }))
     order
 
-let validate_pairs ~matching idx1 idx2 =
+let validate_input ~matching idx1 idx2 =
   List.iter
     (fun (xid, yid) ->
       match (Index.node_of_id idx1 xid, Index.node_of_id idx2 yid) with
@@ -306,25 +298,6 @@ let validate_pairs ~matching idx1 idx2 =
           (Diag.make ~nodes:[ yid ] Diag.Unmatched_id
              "EditScript: matching references unknown T2 id %d" yid))
     (Matching.pairs matching)
-
-(* Every pair is well-formed when each matched T1 node's partner is a T2
-   node with its label and the pairs found that way are all there are.
-   That check walks T1's index without building the pair list; any doubt
-   falls back to [validate_pairs], which reports the first bad pair. *)
-let validate_input ~matching idx1 idx2 =
-  let ok = ref true and found = ref 0 in
-  for r = 0 to Index.size idx1 - 1 do
-    let x = Index.node idx1 r in
-    match Matching.partner_of_old matching x.Node.id with
-    | None -> ()
-    | Some yid ->
-      incr found;
-      let ry = Index.rank_of_id idx2 yid in
-      if ry < 0 || not (String.equal x.Node.label (Index.node idx2 ry).Node.label)
-      then ok := false
-  done;
-  if not (!ok && !found = Matching.cardinal matching) then
-    validate_pairs ~matching idx1 idx2
 
 let generate ?exec ?(model = Cost.unit) ~matching t1 t2 =
   Cost.check model;

@@ -7,7 +7,9 @@
    The nodes sit in chunks small enough for the minor heap.  One array of
    them all would live in the major heap, and every young node stored in it
    would be promoted at the next minor collection: the working copies the
-   tables index are mostly garbage by then. *)
+   tables index are mostly garbage by then.  With one flat array,
+   perfbench's revisions workload diffed about 5% fewer pairs per second
+   (one CPU of a 2-CPU host). *)
 
 type t = {
   mutable slots : int array;            (* hash position -> entry + 1, 0 = empty *)
