@@ -1,4 +1,4 @@
-.PHONY: all build lint check test test-force bench bench-timing clean examples fault-tests store-tests par-tests bench-parallel sim-tests bench-sim bench-compare analyze-tests bench-check serve-tests bench-serve bench-store bench-store-scale ci ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
+.PHONY: all build lint check test test-force bench bench-timing clean examples fault-tests store-tests par-tests bench-parallel bench-compare analyze-tests bench-check serve-tests bench-serve bench-store bench-store-scale ci ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
 
 all: build
 
@@ -46,10 +46,8 @@ FAULT_SPECS = \
   fast_match.chain:raise \
   fast_match.lcs:deadline \
   fast_match.scan:raise \
-  fast_match.sim:raise \
   simple_match.node:overflow \
   keyed.match:raise \
-  sim.greedy:raise \
   postprocess.run:raise \
   postprocess.scan:deadline \
   edit_gen.visit:raise \
@@ -101,16 +99,6 @@ store-tests:
 par-tests:
 	dune build test/test_batch.exe
 	dune exec test/test_batch.exe -- -c
-
-# Similarity-layer suite: SimHash/LSH unit tests, the prefilter recall and
-# budget-charge properties, the explicit approx matcher falling back to the
-# windowed rung (via the fault suite's ladder cases) and jobs-parity with
-# the prefilter engaged.
-sim-tests:
-	dune build test/test_matching.exe test/test_batch.exe test/test_fault.exe
-	dune exec test/test_matching.exe -- test similarity -c
-	dune exec test/test_batch.exe -- test batch -c
-	dune exec test/test_fault.exe -- test ladder -c
 
 # Interference-analyzer suite (TD5xx/TD6xx): dependence-graph pair
 # classification, the canonical-form and parallel-apply properties, and the
@@ -164,15 +152,9 @@ bench-store-scale:
 bench-parallel:
 	dune exec bench/main.exe -- batch --json BENCH_parallel.json
 
-# Similarity layer: exact FastMatch vs the LSH prefilter vs the greedy
-# approx matcher on the adversarial long-chain corpus, plus precision /
-# recall over every corpus; writes BENCH_sim.json.
-bench-sim:
-	dune exec bench/main.exe -- sim --json BENCH_sim.json
-
 # Gate on a benchmark trajectory: compare two BENCH_*.json files by shared
 # benchmark name and fail on >10% ns/run regressions, e.g.
-#   make bench-compare OLD=BENCH_sim.json NEW=BENCH_sim_new.json
+#   make bench-compare OLD=BENCH_check.json NEW=BENCH_check_new.json
 OLD = BENCH_baseline.json
 NEW = BENCH_indexed.json
 MAX_REGRESS = 10
@@ -200,7 +182,7 @@ bench-timing:
 # BENCH_check.json.  The bench gate re-measures on this host, so the
 # regression threshold is generous — it catches complexity cliffs, not
 # noise.
-ci: build test lint check fault-tests store-tests par-tests sim-tests analyze-tests serve-tests ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
+ci: build test lint check fault-tests store-tests par-tests analyze-tests serve-tests ci-bench-compare ci-serve-compare ci-store-scale-compare perfbench-test
 	@echo "ci: all gates passed"
 
 # The repository benchmark's own self-tests at reduced sizes (about a

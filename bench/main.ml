@@ -546,149 +546,6 @@ let run_batch_bench ?json ~out ~jobs () =
     in
     write_json ~out path rows
 
-(* ------------------------------------------------------ similarity layer *)
-
-module Criteria = Treediff_matching.Criteria
-module Fast_match = Treediff_matching.Fast_match
-module Sim_index = Treediff_matching.Sim_index
-
-(* Exact FastMatch vs the LSH prefilter vs the greedy approx matcher on the
-   adversarial long-chain corpus (mutually similar, pairwise-distinct
-   sentences, shuffled: the chain LCS degenerates and the straggler scan
-   probes ~half the chain per node), plus matching quality — precision and
-   recall against exact FastMatch matchings — over every corpus. *)
-let run_sim ?json ~out () =
-  Printf.fprintf out "== Similarity layer: prefilter vs exact FastMatch ==\n";
-  let criteria =
-    Criteria.make ~compare:Treediff_textdiff.Word_compare.distance ()
-  in
-  let time_best ?(reps = 3) f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let x = f () in
-      let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-      if ns < !best then best := ns;
-      result := Some x
-    done;
-    match !result with Some x -> (x, !best) | None -> assert false
-  in
-  let sim = (64, 8) in
-  let sizes = [ 100; 200; 400; 800 ] in
-  let sweep =
-    List.map
-      (fun n ->
-        let gen = Treediff_tree.Tree.gen () in
-        let t1, t2 = E.Sim_quality.long_chain_pair ~n gen in
-        let exact, exact_ns =
-          time_best (fun () -> Fast_match.run (Criteria.ctx criteria ~t1 ~t2))
-        in
-        let pre, pre_ns =
-          time_best (fun () ->
-              Fast_match.run ~sim (Criteria.ctx criteria ~t1 ~t2))
-        in
-        let _, approx_ns = time_best (fun () -> Sim_index.greedy ~t1 ~t2 ()) in
-        (n, exact_ns, pre_ns, approx_ns, E.Sim_quality.score ~exact pre))
-      sizes
-  in
-  let table =
-    Treediff_util.Table.create
-      ~headers:
-        [
-          "chain"; "exact"; "prefilter"; "speedup"; "approx"; "precision";
-          "recall";
-        ]
-  in
-  List.iter
-    (fun (n, exact_ns, pre_ns, approx_ns, s) ->
-      Treediff_util.Table.add_row table
-        [
-          string_of_int n;
-          Printf.sprintf "%.1f ms" (exact_ns /. 1e6);
-          Printf.sprintf "%.1f ms" (pre_ns /. 1e6);
-          Printf.sprintf "%.1fx" (exact_ns /. pre_ns);
-          Printf.sprintf "%.1f ms" (approx_ns /. 1e6);
-          Printf.sprintf "%.3f" (E.Sim_quality.precision s);
-          Printf.sprintf "%.3f" (E.Sim_quality.recall s);
-        ])
-    sweep;
-  Treediff_util.Table.print_to out table;
-  Printf.fprintf out "\n%!";
-  let quality = E.Sim_quality.compute () in
-  let qtable =
-    Treediff_util.Table.create
-      ~headers:
-        [
-          "corpus"; "tree pairs"; "exact pairs"; "prefilter P"; "prefilter R";
-          "approx P"; "approx R";
-        ]
-  in
-  List.iter
-    (fun (r : E.Sim_quality.row) ->
-      Treediff_util.Table.add_row qtable
-        [
-          r.E.Sim_quality.corpus;
-          string_of_int r.E.Sim_quality.pairs;
-          string_of_int r.E.Sim_quality.prefilter.E.Sim_quality.exact;
-          Printf.sprintf "%.3f" (E.Sim_quality.precision r.E.Sim_quality.prefilter);
-          Printf.sprintf "%.3f" (E.Sim_quality.recall r.E.Sim_quality.prefilter);
-          Printf.sprintf "%.3f" (E.Sim_quality.precision r.E.Sim_quality.approx);
-          Printf.sprintf "%.3f" (E.Sim_quality.recall r.E.Sim_quality.approx);
-        ])
-    quality.E.Sim_quality.rows;
-  Treediff_util.Table.print_to out qtable;
-  Printf.fprintf out "\n%!";
-  match json with
-  | None -> ()
-  | Some path ->
-    let n, exact_ns, pre_ns, _, s =
-      List.nth sweep (List.length sweep - 1)
-    in
-    let oc = open_out path in
-    json_header oc (Filename.remove_extension (Filename.basename path));
-    Printf.fprintf oc
-      "  \"summary\": { \"corpus\": \"long-chain-%d\", \"speedup\": %.2f, \
-       \"precision\": %.4f, \"recall\": %.4f },\n"
-      n (exact_ns /. pre_ns)
-      (E.Sim_quality.precision s)
-      (E.Sim_quality.recall s);
-    Printf.fprintf oc "  \"quality\": [";
-    List.iteri
-      (fun i (r : E.Sim_quality.row) ->
-        Printf.fprintf oc
-          "%s\n    { \"corpus\": %S, \"prefilter_precision\": %.4f, \
-           \"prefilter_recall\": %.4f, \"approx_precision\": %.4f, \
-           \"approx_recall\": %.4f }"
-          (if i > 0 then "," else "")
-          r.E.Sim_quality.corpus
-          (E.Sim_quality.precision r.E.Sim_quality.prefilter)
-          (E.Sim_quality.recall r.E.Sim_quality.prefilter)
-          (E.Sim_quality.precision r.E.Sim_quality.approx)
-          (E.Sim_quality.recall r.E.Sim_quality.approx))
-      quality.E.Sim_quality.rows;
-    Printf.fprintf oc "\n  ],\n  \"results\": [";
-    let rows =
-      List.concat_map
-        (fun (n, exact_ns, pre_ns, approx_ns, _) ->
-          [
-            (Printf.sprintf "sim/long-chain-%d/exact" n, Some exact_ns);
-            (Printf.sprintf "sim/long-chain-%d/prefilter" n, Some pre_ns);
-            (Printf.sprintf "sim/long-chain-%d/approx" n, Some approx_ns);
-          ])
-        sweep
-    in
-    List.iteri
-      (fun i (name, est) ->
-        Printf.fprintf oc "%s\n    { \"name\": %S, \"ns_per_run\": %s }"
-          (if i > 0 then "," else "")
-          name
-          (match est with Some e -> Printf.sprintf "%.2f" e | None -> "null"))
-      rows;
-    Printf.fprintf oc "\n  ]\n}\n";
-    close_out oc;
-    Printf.fprintf out "wrote %s\n" path
-
 (* ------------------------------------------------ degradation frequency *)
 
 (* How often does a wall-clock budget push the pipeline off the primary
@@ -710,7 +567,8 @@ let run_budget ~out ms =
     (t1, fst (Treediff_workload.Mutate.mutate g gen t1 ~actions:20))
   in
   let long_chain n gen =
-    E.Sim_quality.long_chain_pair ~seed:(Treediff_util.Prng.int g 1_000_000) ~n gen
+    Treediff_workload.Treegen.long_chain_pair
+      ~seed:(Treediff_util.Prng.int g 1_000_000) ~n gen
   in
   let corpora =
     List.map (fun p -> (Printf.sprintf "treegen-%d" p, treegen p)) [ 10; 30; 100; 300; 1000 ]
@@ -1392,11 +1250,6 @@ let usage () =
     \               jobs 1/2/4 (or --jobs N), with a cross-jobs identity check";
   print_endline "               (runs alone; with --json, writes BENCH_parallel.json rows)";
   print_endline
-    "  sim          similarity layer: exact FastMatch vs the LSH prefilter vs\n\
-    \               the greedy approx matcher on the adversarial long-chain\n\
-    \               corpus, plus precision/recall tables over every corpus";
-  print_endline "               (runs alone; with --json, writes BENCH_sim.json rows)";
-  print_endline
     "  check        interference analyzer ns/op, the minimality oracle's\n\
     \               node-budget cost curve, and oracle-audited minimality\n\
     \               rates over the seed corpora";
@@ -1464,7 +1317,6 @@ let () =
       else if names = [ "store-scale" ] then
         run_store_scale ?json ~out ~jobs ~smoke ()
       else if names = [ "batch" ] then run_batch_bench ?json ~out ~jobs ()
-      else if names = [ "sim" ] then run_sim ?json ~out ()
       else if names = [ "check" ] then run_check_bench ?json ~out ()
       else if names = [ "serve" ] then run_serve_bench ?json ~out ()
       else begin

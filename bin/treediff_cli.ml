@@ -119,17 +119,13 @@ let make_exec budget_ms max_comparisons max_nodes =
               ?max_nodes ())
          ())
 
-let algorithm_of_name ~approx name =
-  match (name, approx) with
-  | _, true | "approx", false -> Ok Treediff.Config.Approx_match
-  | "fast", false -> Ok Treediff.Config.Fast_match
-  | "simple", false -> Ok Treediff.Config.Simple_match
-  | a, false ->
-    Error (Verb.Bad_input (Printf.sprintf "unknown algorithm %S (fast|simple|approx)" a))
+let algorithm_of_name = function
+  | "fast" -> Ok Treediff.Config.Fast_match
+  | "simple" -> Ok Treediff.Config.Simple_match
+  | a -> Error (Verb.Bad_input (Printf.sprintf "unknown algorithm %S (fast|simple)" a))
 
-let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
-    window sim_threshold sim_top_k mode render zs budget_ms max_comparisons
-    max_nodes output =
+let run_diff old_file new_file format lenient algorithm threshold leaf_f window
+    mode render zs budget_ms max_comparisons max_nodes output =
   handle_errors @@ fun () ->
   let input = { Verb.format; lenient } in
   let t1, t2 =
@@ -152,12 +148,10 @@ let run_diff old_file new_file format lenient algorithm approx threshold leaf_f
     let settings =
       {
         Verb.default_settings with
-        algorithm = or_die (algorithm_of_name ~approx algorithm);
+        algorithm = or_die (algorithm_of_name algorithm);
         leaf_f;
         internal_t = threshold;
         window;
-        sim_threshold;
-        sim_top_k;
       }
     in
     let req = { Verb.input; settings; mode = or_die (output_mode ~render mode) } in
@@ -193,16 +187,8 @@ let new_file =
 
 let algorithm =
   Arg.(value & opt string "fast" & info [ "a"; "algorithm" ] ~docv:"ALG"
-         ~doc:"Matching algorithm: $(b,fast) (FastMatch, §5.3), $(b,simple) \
-               (Match, §5.2) or $(b,approx) (greedy SimHash matching — \
-               least minimal scripts; faster than FastMatch only on long \
-               same-label chains of near-duplicate leaves).")
-
-let approx =
-  Arg.(value & flag & info [ "approx" ]
-         ~doc:"Shorthand for $(b,-a approx): match greedily on subtree \
-               SimHash signatures with no similarity-criterion tests.  \
-               Output is still re-verified by the static checker.")
+         ~doc:"Matching algorithm: $(b,fast) (FastMatch, §5.3) or \
+               $(b,simple) (Match, §5.2).")
 
 let threshold =
   Arg.(value & opt float 0.6 & info [ "t"; "threshold" ] ~docv:"T"
@@ -216,19 +202,6 @@ let window =
   Arg.(value & opt (some int) None & info [ "k"; "window" ] ~docv:"K"
          ~doc:"A(k) scan window: bound FastMatch's straggler scan to $(docv) chain \
                positions (faster, may miss far moves).  Default: unbounded.")
-
-let sim_threshold =
-  Arg.(value & opt (some int) None & info [ "sim-threshold" ] ~docv:"N"
-         ~doc:"Enable FastMatch's similarity prefilter: label chains longer \
-               than $(docv) skip the near-quadratic LCS+scan for banded-LSH \
-               top-k candidate retrieval over subtree SimHash signatures; \
-               every candidate is still verified with the real matching \
-               criterion.  Default: off (exact FastMatch).")
-
-let sim_top_k =
-  Arg.(value & opt int 8 & info [ "sim-top-k" ] ~docv:"K"
-         ~doc:"Candidates retrieved per LSH probe when $(b,--sim-threshold) \
-               or the approx matcher is active.")
 
 let mode =
   Arg.(value & opt string "script" & info [ "m"; "mode" ] ~docv:"MODE"
@@ -291,9 +264,8 @@ let diff_cmd =
   let doc = "compute a minimum-cost edit script between two trees" in
   Cmd.v (Cmd.info "diff" ~doc ~exits:diff_exits)
     Term.(const run_diff $ old_file $ new_file $ format_arg $ lenient
-          $ algorithm $ approx $ threshold $ leaf_f $ window $ sim_threshold
-          $ sim_top_k $ mode $ render_arg $ zs $ budget_ms $ max_comparisons
-          $ max_nodes $ output)
+          $ algorithm $ threshold $ leaf_f $ window $ mode $ render_arg $ zs
+          $ budget_ms $ max_comparisons $ max_nodes $ output)
 
 (* ----------------------------------------------------------------- apply *)
 
@@ -415,21 +387,13 @@ let collect_manifest path =
                 (Printf.sprintf "manifest line %d: expected two whitespace-separated paths"
                    (i + 1))))
 
-let run_batch input format lenient jobs approx sim_threshold sim_top_k mode
-    budget_ms max_comparisons max_nodes out_dir =
+let run_batch input format lenient jobs mode budget_ms max_comparisons
+    max_nodes out_dir =
   handle_errors @@ fun () ->
   let req =
     {
       Verb.input = { Verb.format; lenient };
-      settings =
-        {
-          Verb.default_settings with
-          algorithm =
-            (if approx then Treediff.Config.Approx_match
-             else Verb.default_settings.Verb.algorithm);
-          sim_threshold;
-          sim_top_k;
-        };
+      settings = Verb.default_settings;
       mode = or_die (output_mode ~render:None mode);
     }
   in
@@ -540,8 +504,7 @@ let batch_cmd =
   in
   Cmd.v (Cmd.info "batch" ~doc ~man ~exits:diff_exits)
     Term.(const run_batch $ batch_input $ format_arg $ lenient $ batch_jobs
-          $ approx $ sim_threshold $ sim_top_k $ mode $ budget_ms
-          $ max_comparisons $ max_nodes $ batch_out_dir)
+          $ mode $ budget_ms $ max_comparisons $ max_nodes $ batch_out_dir)
 
 (* ----------------------------------------------------------------- check *)
 
@@ -1129,8 +1092,8 @@ let remote_exit_of_kind = function
   | Sproto.Internal -> exit_internal
   | Sproto.Overloaded | Sproto.Shutting_down -> 1
 
-let run_remote verb old_file new_file host port mode deadline_ms approx
-    params_json attempts base_ms max_ms seed verbose retry_unsafe output =
+let run_remote verb old_file new_file host port mode deadline_ms params_json
+    attempts base_ms max_ms seed verbose retry_unsafe output =
   handle_errors @@ fun () ->
   let base =
     (match old_file with
@@ -1140,10 +1103,10 @@ let run_remote verb old_file new_file host port mode deadline_ms approx
       | Some f -> [ ("new", Json.Str (read_file f)) ]
       | None -> [])
     @ [ ("mode", Json.Str mode) ]
-    @ (match deadline_ms with
-      | Some ms -> [ ("deadline_ms", Json.float ms) ]
-      | None -> [])
-    @ if approx then [ ("approx", Json.Bool true) ] else []
+    @
+    match deadline_ms with
+    | Some ms -> [ ("deadline_ms", Json.float ms) ]
+    | None -> []
   in
   let extra =
     match params_json with
@@ -1276,9 +1239,9 @@ let remote_cmd =
   in
   Cmd.v (Cmd.info "remote" ~doc ~man ~exits)
     Term.(const run_remote $ remote_verb $ remote_old $ remote_new
-          $ serve_host $ serve_port $ mode $ remote_deadline $ approx
-          $ remote_params $ remote_attempts $ remote_base_ms $ remote_max_ms
-          $ remote_seed $ remote_verbose $ remote_retry_unsafe $ output)
+          $ serve_host $ serve_port $ mode $ remote_deadline $ remote_params
+          $ remote_attempts $ remote_base_ms $ remote_max_ms $ remote_seed
+          $ remote_verbose $ remote_retry_unsafe $ output)
 
 (* ------------------------------------------------------------------ main *)
 

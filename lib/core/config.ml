@@ -1,4 +1,4 @@
-type algorithm = Fast_match | Simple_match | Approx_match
+type algorithm = Fast_match | Simple_match
 
 type t = {
   criteria : Treediff_matching.Criteria.t;
@@ -6,8 +6,6 @@ type t = {
   postprocess : bool;
   cost : Treediff_edit.Cost.t;
   scan_window : int option;
-  sim_threshold : int option;
-  sim_top_k : int;
   check : bool;
 }
 
@@ -18,8 +16,6 @@ let default =
     postprocess = true;
     cost = Treediff_edit.Cost.unit;
     scan_window = None;
-    sim_threshold = None;
-    sim_top_k = 8;
     check = Treediff_check.Check.env_enabled ();
   }
 

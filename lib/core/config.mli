@@ -1,15 +1,11 @@
 (** Configuration of the end-to-end change-detection pipeline. *)
 
+(** The matcher that builds the good matching: one of the paper's two
+    algorithms.  Both test every pair they match against the §5.1
+    criteria; FastMatch's only speed knob is A(k) ([scan_window]). *)
 type algorithm =
   | Fast_match    (** Algorithm FastMatch (§5.3) — the default *)
   | Simple_match  (** Algorithm Match (§5.2) — the O(n²) reference *)
-  | Approx_match
-      (** Greedy SimHash matching ({!Treediff_matching.Sim_index.greedy}):
-          no criterion tests at all, least minimal scripts.  It is faster
-          than FastMatch only on long same-label chains of near-duplicate
-          leaves (long-chain 800: 62 ms against 89 ms end to end); on
-          documents it runs about 10× slower, so no degradation rung uses
-          it.  Selected only explicitly. *)
 
 type t = {
   criteria : Treediff_matching.Criteria.t;
@@ -23,14 +19,6 @@ type t = {
           positions; [None] (default) is the paper's full scan.  Smaller k is
           faster but may report far-moved content as delete+insert.  Ignored
           by [Simple_match]. *)
-  sim_threshold : int option;
-      (** enable FastMatch's similarity prefilter: label chains longer than
-          this skip the near-quadratic LCS+scan for exact value-id pairing
-          plus banded-LSH top-k retrieval (see {!Fast_match.run}).  [None]
-          (default) leaves the prefilter off. *)
-  sim_top_k : int;
-      (** candidates retrieved per LSH probe when the prefilter or
-          [Approx_match] runs (default 8). *)
   check : bool;
       (** run the {!Treediff_check} static verifier on every {!Diff.diff}
           result and raise {!Treediff_check.Diag.Failed} on error-severity

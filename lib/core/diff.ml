@@ -95,17 +95,8 @@ let diff ?(config = Config.default) ?exec t1 t2 =
   let matching =
     match config.Config.algorithm with
     | Config.Fast_match ->
-      let sim =
-        Option.map
-          (fun threshold -> (threshold, config.Config.sim_top_k))
-          config.Config.sim_threshold
-      in
-      Treediff_matching.Fast_match.run ?window:config.Config.scan_window ?sim
-        ctx
+      Treediff_matching.Fast_match.run ?window:config.Config.scan_window ctx
     | Config.Simple_match -> Treediff_matching.Simple_match.run ctx
-    | Config.Approx_match ->
-      Treediff_matching.Sim_index.greedy_indexed ~exec
-        ~top_k:config.Config.sim_top_k ~idx1 ~idx2 ()
   in
   let postprocess_fixes =
     if config.Config.postprocess then Treediff_matching.Postprocess.run ctx matching

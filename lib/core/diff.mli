@@ -18,11 +18,7 @@ type rung = Windowed | Keyed | Rebuild
     {- [Keyed] — leaf-value keyed matching ({!Treediff_matching.Keyed}): no
        pairwise comparisons at all, so comparison caps cannot trip it;}
     {- [Rebuild] — the empty matching: delete [T1], insert [T2].  Linear and
-       unbudgeted, so it terminates under any deadline.}}
-    The greedy SimHash matcher ({!Config.Approx_match}) is not a rung: on
-    documents it runs about 10× slower than FastMatch, and as a rung
-    between [Keyed] and [Rebuild] it won no descent in a 1–20 ms deadline
-    sweep.  Callers pick it explicitly through [config.algorithm]. *)
+       unbudgeted, so it terminates under any deadline.}} *)
 
 val rung_name : rung -> string
 (** ["windowed"], ["keyed"] or ["rebuild"]. *)

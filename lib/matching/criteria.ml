@@ -127,8 +127,6 @@ let values_close c ~limit va vb =
     c.crit.compare (Index.Interner.name c.values va) (Index.Interner.name c.values vb)
     <= limit
 
-let exec c = c.ex
-
 let stats c = c.st
 
 let budget c = c.bgt

@@ -62,8 +62,6 @@ val ctx : ?exec:Treediff_util.Exec.t -> t ->
     {!pair_indexes} finds them (EditScript reuses them instead of indexing
     the same trees again).  A later [ctx] on the same exec replaces them. *)
 
-val exec : ctx -> Treediff_util.Exec.t
-
 val stats : ctx -> Treediff_util.Stats.t
 
 val budget : ctx -> Treediff_util.Budget.t

@@ -14,31 +14,16 @@
     other-chain candidates within k positions of i, so far-moved content may
     be missed (reported as delete+insert — correct, dearer) while the scan
     cost drops from O(d²) to O(d·k).  [window = Some 0] is pure-LCS matching
-    (fastest); [None] (default) is the full scan — the paper's FastMatch.
+    (fastest); [None] (default) is the full scan — the paper's FastMatch. *)
 
-    {b Similarity prefilter.}  Both the LCS and the scan go near-quadratic
-    when a long chain's nodes are mutually similar (real HTML/XML corpora).
-    With [sim = Some (threshold, top_k)], any label whose unmatched chains
-    both exceed [threshold] skips them for an exact value-id pass plus a
-    banded-LSH top-[top_k] retrieval over subtree SimHash signatures
-    ({!Sim_index}); every retrieved candidate is still verified with the
-    real criterion, so pairs remain criterion-sound — only far matches with
-    no shared signature band can be missed, the same contract as A(k).
-    Signatures are memoized per execution context in typed {!Exec} slots and
-    all tie-breaks are positional, so batch runs stay byte-identical across
-    job counts. *)
-
-val run :
-  ?init:Matching.t -> ?window:int -> ?sim:int * int -> Criteria.ctx -> Matching.t
+val run : ?init:Matching.t -> ?window:int -> Criteria.ctx -> Matching.t
 (** [run ctx] matches the context's tree pair; [init] seeds the matching as
-    in {!Simple_match.run}; [window] bounds the straggler scan and
-    [sim = (threshold, top_k)] enables the similarity prefilter (see above).
+    in {!Simple_match.run} and [window] bounds the straggler scan.
     Comparison counts accumulate in the context's
     {!Treediff_util.Stats.t}. *)
 
 val match_label :
-  Criteria.ctx -> Matching.t -> ?window:int -> ?sim:int * int -> string ->
-  leaf:bool -> unit
+  Criteria.ctx -> Matching.t -> ?window:int -> string -> leaf:bool -> unit
 (** One label's chain-LCS-then-scan pass, mutating the matching in place —
     the unit {!run} iterates.  Exposed for the phase profiler and tests. *)
 

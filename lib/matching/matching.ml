@@ -1,64 +1,88 @@
-(* Array-backed one-to-one matching.  Node ids are smallish dense integers
-   (drawn from one Tree.gen per comparison), so each direction is a plain
-   [id -> partner] array with -1 for "unmatched"; ids that are negative or
-   beyond [dense_cap] fall back to a hashtable so nothing ever breaks on
-   exotic identifiers.  [version] counts mutations, letting callers (the
-   Criteria common-leaf cache) invalidate derived state in O(1). *)
+(* Array-backed one-to-one matching.  Each direction keeps a plain
+   [id -> partner] array over a window of ids [base, base + length), -1
+   meaning "unmatched", and a hashtable for every other id.  The window's
+   length follows the number of pairs, not the ids: it doubles to cover a
+   new id only while {!Index.dense_enough} holds for its new length and the
+   pair count (the rule Index uses for its [id -> rank] array), so three
+   pairs with an id near 2^20 cost a few hundred bytes.  The ids one
+   [Tree.gen] hands a pair, and the fresh ids EditScript gives inserted
+   nodes, come in runs, so each side's partners fall in a window about as
+   long as its pair count.  Invariant: the hashtable holds only ids outside
+   the window, so a lookup reads one or the other.  [version] counts
+   mutations, letting callers (the Criteria common-leaf cache) invalidate
+   derived state in O(1). *)
 
-let dense_cap = 1 lsl 20
+module Index = Treediff_tree.Index
+
+type side = {
+  mutable base : int;
+  mutable arr : int array; (* id - base -> partner, -1 = unmatched *)
+  ext : (int, int) Hashtbl.t; (* ids outside the window *)
+}
 
 type t = {
-  mutable fwd : int array; (* T1 id -> T2 id, -1 = unmatched *)
-  mutable bwd : int array; (* T2 id -> T1 id, -1 = unmatched *)
-  fwd_ext : (int, int) Hashtbl.t; (* ids outside the dense range *)
-  bwd_ext : (int, int) Hashtbl.t;
+  fwd : side; (* T1 id -> T2 id *)
+  bwd : side; (* T2 id -> T1 id *)
   mutable card : int;
   mutable version : int;
 }
 
-let create () =
-  {
-    fwd = [||];
-    bwd = [||];
-    fwd_ext = Hashtbl.create 8;
-    bwd_ext = Hashtbl.create 8;
-    card = 0;
-    version = 0;
-  }
+let side () = { base = 0; arr = [||]; ext = Hashtbl.create 8 }
+
+let create () = { fwd = side (); bwd = side (); card = 0; version = 0 }
+
+let copy_side s = { base = s.base; arr = Array.copy s.arr; ext = Hashtbl.copy s.ext }
 
 let copy m =
-  {
-    fwd = Array.copy m.fwd;
-    bwd = Array.copy m.bwd;
-    fwd_ext = Hashtbl.copy m.fwd_ext;
-    bwd_ext = Hashtbl.copy m.bwd_ext;
-    card = m.card;
-    version = m.version;
-  }
+  { fwd = copy_side m.fwd; bwd = copy_side m.bwd; card = m.card; version = m.version }
 
 let version m = m.version
 
-let dense id = id >= 0 && id < dense_cap
-
 let rec next_size want have = if have >= want then have else next_size want (2 * have)
 
-let ensure arr id =
-  let len = Array.length arr in
-  if id < len then arr
-  else begin
-    let len' = min dense_cap (next_size (id + 1) (max 64 len)) in
+(* Windows hold ids below 2^60 only, so [base + length] cannot overflow. *)
+let windowed id = id < 1 lsl 60
+
+(* Widens [s]'s window to cover [id] when [pairs] pairs keep it dense
+   enough, moving the hashtable's ids inside the new window into it. *)
+let grow s id ~pairs =
+  let len = Array.length s.arr in
+  let lo = if len = 0 then id else min s.base id in
+  let hi = if len = 0 then id + 1 else max (s.base + len) (id + 1) in
+  let len' = next_size (hi - lo) (max 64 len) in
+  if Index.dense_enough ~max_id:(len' - 1) ~size:pairs then begin
+    (* a window grown downwards keeps its top, one grown upwards its base *)
+    let base' = if len > 0 && id < s.base then max 0 (hi - len') else lo in
     let arr' = Array.make len' (-1) in
-    Array.blit arr 0 arr' 0 len;
-    arr'
+    if len > 0 then Array.blit s.arr 0 arr' (s.base - base') len;
+    Hashtbl.filter_map_inplace
+      (fun k v ->
+        if k >= base' && k < base' + len' then begin
+          arr'.(k - base') <- v;
+          None
+        end
+        else Some v)
+      s.ext;
+    s.base <- base';
+    s.arr <- arr'
   end
 
-let get arr ext id =
-  if dense id then (if id < Array.length arr then arr.(id) else -1)
-  else (match Hashtbl.find_opt ext id with Some v -> v | None -> -1)
+let inside s id = id >= s.base && id < s.base + Array.length s.arr
 
-let lookup_old m x = get m.fwd m.fwd_ext x
+let set s id v ~pairs =
+  if (not (inside s id)) && windowed id then grow s id ~pairs;
+  if inside s id then s.arr.(id - s.base) <- v else Hashtbl.replace s.ext id v
 
-let lookup_new m y = get m.bwd m.bwd_ext y
+let get s id =
+  if inside s id then s.arr.(id - s.base)
+  else if Hashtbl.length s.ext = 0 then -1
+  else match Hashtbl.find_opt s.ext id with Some v -> v | None -> -1
+
+let unset s id = if inside s id then s.arr.(id - s.base) <- -1 else Hashtbl.remove s.ext id
+
+let lookup_old m x = get m.fwd x
+
+let lookup_new m y = get m.bwd y
 
 let add m x y =
   if x < 0 || y < 0 then invalid_arg "Matching.add: negative node id";
@@ -70,24 +94,17 @@ let add m x y =
     invalid_arg (Printf.sprintf "Matching.add: T2 node %d already matched to %d" y y');
   if x' < 0 then begin
     (* fresh pair (one-to-one: x' < 0 iff y' < 0 here) *)
-    if dense x then begin
-      m.fwd <- ensure m.fwd x;
-      m.fwd.(x) <- y
-    end
-    else Hashtbl.replace m.fwd_ext x y;
-    if dense y then begin
-      m.bwd <- ensure m.bwd y;
-      m.bwd.(y) <- x
-    end
-    else Hashtbl.replace m.bwd_ext y x;
-    m.card <- m.card + 1;
+    let pairs = m.card + 1 in
+    set m.fwd x y ~pairs;
+    set m.bwd y x ~pairs;
+    m.card <- pairs;
     m.version <- m.version + 1
   end
 
 let remove m x y =
   if lookup_old m x = y && y >= 0 then begin
-    if dense x then m.fwd.(x) <- -1 else Hashtbl.remove m.fwd_ext x;
-    if dense y then m.bwd.(y) <- -1 else Hashtbl.remove m.bwd_ext y;
+    unset m.fwd x;
+    unset m.bwd y;
     m.card <- m.card - 1;
     m.version <- m.version + 1
   end
@@ -110,10 +127,8 @@ let cardinal m = m.card
 
 let pairs m =
   let acc = ref [] in
-  Hashtbl.iter (fun x y -> acc := (x, y) :: !acc) m.fwd_ext;
-  for x = Array.length m.fwd - 1 downto 0 do
-    if m.fwd.(x) >= 0 then acc := (x, m.fwd.(x)) :: !acc
-  done;
+  Hashtbl.iter (fun x y -> acc := (x, y) :: !acc) m.fwd.ext;
+  Array.iteri (fun i y -> if y >= 0 then acc := (m.fwd.base + i, y) :: !acc) m.fwd.arr;
   List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
 let equal a b =

@@ -167,29 +167,17 @@ let mode_param params =
 
 (* The CLI's diff defaults (word-LCS leaf compare, f = 0.5, t = 0.6), with
    the sanitizer off: a diff answer is verified by the ladder, not per
-   request. *)
-let settings_params params =
-  let approx = Option.value ~default:false (Json.mem_bool "approx" params) in
-  {
-    Verb.default_settings with
-    algorithm =
-      (if approx then Config.Approx_match else Verb.default_settings.Verb.algorithm);
-    sim_threshold = Option.map int_of_float (Json.mem_num "sim_threshold" params);
-    sim_top_k =
-      (match Json.mem_num "sim_top_k" params with
-      | Some k -> int_of_float k
-      | None -> Verb.default_settings.Verb.sim_top_k);
-    sanitize = false;
-  }
+   request.  No param selects a matcher. *)
+let settings = { Verb.default_settings with sanitize = false }
 
 let budget_exec deadline_ms = Exec.create ~budget:(Budget.make ~deadline_ms ()) ()
 
 (* ------------------------------------------------------------ diff verb *)
 
-(* Only full-quality and explicitly-approx results are cached: a result the
-   ladder degraded under a deadline depends on that request's budget, and a
-   flat-pressure answer depends on the queue — neither is a function of the
-   request alone, so neither belongs in a cache keyed by it. *)
+(* Only full-quality results are cached: a result the ladder degraded under
+   a deadline depends on that request's budget, and a flat-pressure answer
+   depends on the queue — neither is a function of the request alone, so
+   neither belongs in a cache keyed by it. *)
 let cacheable (result : Diff.t) = result.Diff.degraded = None
 
 let rung_json (result : Diff.t) =
@@ -206,7 +194,7 @@ let run_diff t ~pressure ~deadline_ms params =
   let mode_name, mode = mode_param params in
   let input = input_params params in
   let pair = accept (Verb.parse_pair input (sources_params params)) in
-  let req = { Verb.input; settings = settings_params params; mode } in
+  let req = { Verb.input; settings; mode } in
   let answer ?(mode = mode_name) ?(forced = Json.Null) ~output ~degraded ?ops ~cached () =
     Json.Obj
       ([ ("mode", Json.Str mode); ("output", Json.Str output); ("degraded", degraded) ]
@@ -258,7 +246,7 @@ let run_batch t ~deadline_ms params =
     | Some j when j >= 1. -> Some (int_of_float j)
     | Some _ | None -> None
   in
-  let req = { Verb.input; settings = settings_params params; mode } in
+  let req = { Verb.input; settings; mode } in
   (* one unparsable pair refuses the whole request *)
   let trees = Array.map (fun s -> accept (Verb.parse_pair input s)) pairs in
   (* Every pair runs in its own context under the request's residual

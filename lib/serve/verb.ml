@@ -74,8 +74,6 @@ type settings = {
   leaf_f : float;
   internal_t : float;
   window : int option;
-  sim_threshold : int option;
-  sim_top_k : int;
   sanitize : bool;
 }
 
@@ -85,8 +83,6 @@ let default_settings =
     leaf_f = 0.5;
     internal_t = 0.6;
     window = None;
-    sim_threshold = None;
-    sim_top_k = Config.default.Config.sim_top_k;
     sanitize = Config.default.Config.check;
   }
 
@@ -100,8 +96,6 @@ let config s =
         base with
         Config.algorithm = s.algorithm;
         scan_window = s.window;
-        sim_threshold = s.sim_threshold;
-        sim_top_k = s.sim_top_k;
         check = s.sanitize;
       }
   | exception Invalid_argument m -> Error (Bad_input m)
@@ -119,18 +113,17 @@ let diff_key
     {
       input = { format; lenient };
       settings =
-        { algorithm; leaf_f; internal_t; window; sim_threshold; sim_top_k; sanitize };
+        { algorithm; leaf_f; internal_t; window; sanitize };
       mode;
     } (t1, t2) =
   let opt = function None -> "-" | Some n -> string_of_int n in
-  Printf.sprintf "diff:%Lx:%Lx:%s:%s:%b:%s:%h:%h:%s:%s:%d:%b"
+  Printf.sprintf "diff:%Lx:%Lx:%s:%s:%b:%s:%h:%h:%s:%b"
     (Treediff_tree.Iso.hash t1) (Treediff_tree.Iso.hash t2)
     (Render_diff.mode_name mode) format.Doc_format.name lenient
     (match algorithm with
     | Config.Fast_match -> "fast"
-    | Config.Simple_match -> "simple"
-    | Config.Approx_match -> "approx")
-    leaf_f internal_t (opt window) (opt sim_threshold) sim_top_k sanitize
+    | Config.Simple_match -> "simple")
+    leaf_f internal_t (opt window) sanitize
 
 let render (req : diff) result = Render_diff.render req.mode result
 

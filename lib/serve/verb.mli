@@ -74,13 +74,11 @@ type settings = {
   leaf_f : float;  (** §5.1 leaf threshold f of the word-LCS compare *)
   internal_t : float;  (** §5.1 internal-node threshold t *)
   window : int option;  (** A(k) scan window *)
-  sim_threshold : int option;
-  sim_top_k : int;
   sanitize : bool;  (** run the static verifier inside the diff *)
 }
 
 val default_settings : settings
-(** FastMatch, f = 0.5, t = 0.6, no window, no prefilter, and the
+(** FastMatch, f = 0.5, t = 0.6, no window, and the
     sanitizer as [TREEDIFF_CHECK] says. *)
 
 val mode_of_name : string -> (Render_diff.mode, failure) result

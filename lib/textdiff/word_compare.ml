@@ -277,8 +277,7 @@ let distance_with cache a b =
 
 (* The default [distance] keeps its historical closure-friendly signature by
    memoizing through a domain-local cache: safe under domains (each gets its
-   own tables) and still bounded by [Cache.default_cap].  Pipelines that
-   want per-run isolation use [exec_cache]/[distance_in] instead. *)
+   own tables) and still bounded by [Cache.default_cap]. *)
 let domain_cache_key = Domain.DLS.new_key (fun () -> Cache.create ())
 
 let domain_cache () = Domain.DLS.get domain_cache_key
@@ -286,11 +285,3 @@ let domain_cache () = Domain.DLS.get domain_cache_key
 let distance a b = distance_with (domain_cache ()) a b
 
 let similar ?(threshold = 0.5) a b = distance a b <= threshold
-
-let exec_key : Cache.t Treediff_util.Exec.Key.t =
-  Treediff_util.Exec.Key.create "word_compare.cache"
-
-let exec_cache exec =
-  Treediff_util.Exec.memo exec exec_key (fun () -> Cache.create ())
-
-let distance_in exec a b = distance_with (exec_cache exec) a b

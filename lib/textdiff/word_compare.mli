@@ -19,8 +19,7 @@
     {!Vocab}; string-keyed token memoization on top of it lives in a
     {!Cache}.  Both are explicit values, never module state.  {!distance}
     uses a per-domain default cache (safe under domains, bounded by
-    {!Cache.default_cap}); {!distance_in} scopes the cache to one execution
-    context so a batch task's memory is reclaimed with its context.
+    {!Cache.default_cap}).
 
     Callers that compare the same strings many times and can name them by
     a dense id tokenize each string once with {!Vocab.tokenize} and call
@@ -110,9 +109,3 @@ val distance : string -> string -> float
 
 val similar : ?threshold:float -> string -> string -> bool
 (** [distance a b <= threshold] (default [0.5]). *)
-
-val exec_cache : Treediff_util.Exec.t -> Cache.t
-(** The cache slot of an execution context (created on first use). *)
-
-val distance_in : Treediff_util.Exec.t -> string -> string -> float
-(** [distance_with (exec_cache exec)]. *)

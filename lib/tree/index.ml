@@ -31,6 +31,8 @@ type ranks =
   | Dense of int array           (* node id -> preorder rank, -1 if absent *)
   | Sparse of Id_table.t         (* entry number = preorder rank *)
 
+(* The same rule bounds Matching's [id -> partner] arrays, with the pair
+   count as the size. *)
 let dense_enough ~max_id ~size = max_id < 4 * (size + 16)
 
 type t = {

@@ -11,6 +11,9 @@
     otherwise, so the index's memory follows the node count, never the
     largest id.
 
+    {!dense_enough} is that rule; [Treediff_matching.Matching] bounds its
+    arrays by it too.
+
     Invariants (checked by [test_index.ml]):
     - preorder intervals nest: for a child [c] of [r],
       [r < c] and [last c <= last r]; sibling intervals are disjoint;
@@ -40,6 +43,10 @@ module Interner : sig
 
   val name : t -> int -> string
 end
+
+val dense_enough : max_id:int -> size:int -> bool
+(** [max_id < 4 * (size + 16)]: a direct array over ids [0 .. max_id]
+    costs at most a few words per entry when [size] entries fill it. *)
 
 type t
 

@@ -69,11 +69,3 @@ let set (type a) t (k : a Key.t) (v : a) =
   Hashtbl.replace t.slots k.Key.uid (k.Key.inj v)
 
 let remove t k = Hashtbl.remove t.slots k.Key.uid
-
-let memo (type a) t (k : a Key.t) (mk : unit -> a) : a =
-  match find t k with
-  | Some v -> v
-  | None ->
-    let v = mk () in
-    set t k v;
-    v

@@ -68,8 +68,3 @@ val respawn : t -> t
 val find : t -> 'a Key.t -> 'a option
 val set : t -> 'a Key.t -> 'a -> unit
 val remove : t -> 'a Key.t -> unit
-
-val memo : t -> 'a Key.t -> (unit -> 'a) -> 'a
-(** [memo t k mk] returns the slot's value, creating and storing [mk ()] on
-    first use.  The idiom for per-run caches (interning tables, compare
-    memos) that used to live at module scope. *)

@@ -16,10 +16,8 @@ let registry =
     "fast_match.chain";
     "fast_match.lcs";
     "fast_match.scan";
-    "fast_match.sim";
     "simple_match.node";
     "keyed.match";
-    "sim.greedy";
     "postprocess.run";
     "postprocess.scan";
     "edit_gen.visit";

@@ -75,3 +75,36 @@ let perturb g gen ?ops t =
       | ls -> Node.detach (P.pick g (Array.of_list ls)))
   done;
   t
+
+(* -------------------------------------------- adversarial long chain *)
+
+(* Twelve words per sentence: four shared across the whole chain (similar
+   enough that every cross-pair compare runs the full word-LCS DP, and no
+   length heuristic can bail early) and eight carrying the sentence index
+   (so cross-pairs score (24-8)/12 = 4/3 > f and stay unmatchable, while a
+   one-word rewording scores 2/12 and stays well inside f = 0.5).  All
+   values are distinct, so interned-value-id shortcuts never fire. *)
+let sentence ~reworded i =
+  let b = Buffer.create 96 in
+  Buffer.add_string b "alpha beta gamma delta";
+  for k = 0 to 7 do
+    if k = 7 && reworded then Buffer.add_string b (Printf.sprintf " r%dx" i)
+    else Buffer.add_string b (Printf.sprintf " q%dw%d" i k)
+  done;
+  Buffer.contents b
+
+let long_chain_pair ?(seed = 11) ?(reword = 0.3) ~n gen =
+  let g = P.create seed in
+  let t1 =
+    Tree.node gen "D"
+      (List.init n (fun i -> Tree.leaf gen "S" (sentence ~reworded:false i)))
+  in
+  let order = Array.init n Fun.id in
+  P.shuffle g order;
+  let t2 =
+    Tree.node gen "D"
+      (List.init n (fun k ->
+           let i = order.(k) in
+           Tree.leaf gen "S" (sentence ~reworded:(P.chance g reword) i)))
+  in
+  (t1, t2)

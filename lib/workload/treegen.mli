@@ -29,3 +29,18 @@ val perturb :
   Treediff_tree.Node.t
 (** A fresh-id copy perturbed by random shuffles, subtree moves, leaf
     updates, inserts and deletes — exercising every phase of EditScript. *)
+
+val long_chain_pair :
+  ?seed:int ->
+  ?reword:float ->
+  n:int ->
+  Treediff_tree.Tree.gen ->
+  (Treediff_tree.Node.t * Treediff_tree.Node.t)
+(** FastMatch's worst case: a flat document whose [n] sentences share a
+    third of their words (mutually similar — every cross-pair costs a full
+    word-LCS compare — yet below the Criterion 1 bar), each with distinct
+    distinguishing words (so value-id shortcuts never fire).  The new
+    version shuffles the chain and rewords a [reword] fraction (default
+    0.3) of sentences by one word.  The chain LCS degenerates and the
+    straggler scan probes about half the chain per node, so exact FastMatch
+    goes near-quadratic here. *)

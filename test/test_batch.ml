@@ -115,17 +115,6 @@ let test_word_cache () =
     (Word_compare.distance_with fresh a b)
     (Word_compare.distance a b)
 
-let test_word_cache_exec () =
-  let exec = Exec.create () in
-  let c1 = Word_compare.exec_cache exec in
-  let c2 = Word_compare.exec_cache exec in
-  Alcotest.(check bool) "memoized per exec" true (c1 == c2);
-  let other = Word_compare.exec_cache (Exec.create ()) in
-  Alcotest.(check bool) "distinct execs, distinct caches" true (c1 != other);
-  Alcotest.(check (float 1e-9)) "distance_in routes through the exec cache"
-    (Word_compare.distance "a b c" "a c")
-    (Word_compare.distance_in exec "a b c" "a c")
-
 (* ----------------------------------------------------------------- parity *)
 
 (* Deterministic per-index context recipe: most pairs unrestricted, every
@@ -189,29 +178,6 @@ let test_batch_parity () =
     (Batch.failed_count seq + Batch.degraded_count seq < Array.length seq / 2);
   Alcotest.(check bool) "stats accumulated" true
     (Stats.total (Batch.total_stats seq) > 0)
-
-(* Same parity property with the similarity prefilter engaged on every
-   chain longer than 2: signature memos live in per-pair Exec typed slots
-   and all LSH tie-breaks are positional, so the prefilter must not
-   introduce any jobs-count dependence. *)
-let test_batch_parity_with_prefilter () =
-  let pairs = random_pairs ~seed:1371 200 in
-  let config =
-    {
-      Treediff.Config.default with
-      Treediff.Config.sim_threshold = Some 2;
-      sim_top_k = 4;
-    }
-  in
-  let seq = Batch.run ~config ~execs:recipe ~jobs:1 pairs in
-  let par = Batch.run ~config ~execs:recipe ~jobs:4 pairs in
-  Alcotest.(check int) "lengths" (Array.length seq) (Array.length par);
-  Array.iteri
-    (fun i s ->
-      let a = encode_outcome s and b = encode_outcome par.(i) in
-      if not (String.equal a b) then
-        Alcotest.failf "pair %d diverged:\n  jobs:1 %s\n  jobs:4 %s" i a b)
-    seq
 
 let test_batch_crash_isolation () =
   let pairs = random_pairs ~seed:97 12 in
@@ -314,14 +280,11 @@ let () =
       ( "word-cache",
         [
           Alcotest.test_case "cap and clear" `Quick test_word_cache;
-          Alcotest.test_case "per-exec cache" `Quick test_word_cache_exec;
         ] );
       ( "batch",
         [
           Alcotest.test_case "jobs:4 byte-identical to jobs:1" `Quick
             test_batch_parity;
-          Alcotest.test_case "jobs parity with the sim prefilter on" `Quick
-            test_batch_parity_with_prefilter;
           Alcotest.test_case "crash in one pair is isolated" `Quick
             test_batch_crash_isolation;
           Alcotest.test_case "store parallel replay parity" `Quick

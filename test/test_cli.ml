@@ -252,6 +252,22 @@ let test_exit_parse_error () =
   in
   Alcotest.(check int) "exit 2" 2 code
 
+(* Only the paper's two matchers can be picked: any other algorithm name is
+   bad input (exit 2), and the message lists the choices. *)
+let test_exit_unknown_algorithm () =
+  let o = tmp_file {|(D (S "a b"))|} and n = tmp_file {|(D (S "a c"))|} in
+  let err = Filename.temp_file "treediff_err" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s diff %s %s -a approx > /dev/null 2> %s"
+         (bin "treediff_cli") o n err)
+  in
+  let msg = read_file err in
+  Sys.remove err;
+  Alcotest.(check int) "exit 2" 2 code;
+  Alcotest.(check bool) ("error names fast|simple: " ^ msg) true
+    (contains ~sub:"fast|simple" msg)
+
 let test_exit_lenient_recovers () =
   let bad = tmp_file "<a><b>never closed" and good = tmp_file "<a>ok</a>" in
   let code, _ =
@@ -339,6 +355,7 @@ let () =
         [
           Alcotest.test_case "parse error is 2" `Quick test_exit_parse_error;
           Alcotest.test_case "lenient recovers to 0" `Quick test_exit_lenient_recovers;
+          Alcotest.test_case "-a approx is 2" `Quick test_exit_unknown_algorithm;
           Alcotest.test_case "degraded output is 3" `Quick test_exit_degraded;
           Alcotest.test_case "exhausted ladder is 4" `Quick test_exit_internal_fault;
           Alcotest.test_case "budget-cause failure is 3" `Quick test_exit_budget_fault_is_3;

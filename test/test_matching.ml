@@ -51,6 +51,110 @@ let test_matching_remove_copy_equal () =
   Alcotest.(check bool) "not equal after remove" false (Matching.equal m c);
   Alcotest.(check (list (pair int int))) "pairs sorted" [ (1, 10); (2, 20) ] (Matching.pairs c)
 
+(* A matching's memory follows its pair count, not its largest id: arrays
+   sized by the id took 2.1 MB for three pairs with one id of 10^5 and
+   16.8 MB at 10^6.  Ids keep growing with every version in a store, and
+   the id-preserving binary format carries any id, up to [max_int]. *)
+let test_matching_sparse_allocation () =
+  List.iter
+    (fun id ->
+      let before = Gc.allocated_bytes () in
+      let m = Matching.create () in
+      Matching.add m id 3;
+      Matching.add m 1 2;
+      Matching.add m 4 id;
+      let bytes = Gc.allocated_bytes () -. before in
+      Alcotest.(check (option int)) "old side" (Some 3) (Matching.partner_of_old m id);
+      Alcotest.(check (option int)) "new side" (Some 4) (Matching.partner_of_new m id);
+      Alcotest.(check (list (pair int int))) "pairs" [ (1, 2); (4, id); (id, 3) ]
+        (Matching.pairs m);
+      if bytes >= 16384. then
+        Alcotest.failf "id %d: three pairs allocated %.0f bytes" id bytes)
+    [ 100_000; 1_000_000; (1 lsl 20) - 1; 1 lsl 60; max_int ]
+
+(* Matching against a Hashtbl model, over ids below and far above the
+   dense bound (four times the pair count plus 64): every add, failed add
+   and remove leaves the same partners, cardinal, pairs and version
+   count. *)
+type matching_op = Add of int * int | Remove of int * int | Remove_nth of int
+
+let matching_model_prop =
+  let id =
+    QCheck.Gen.(
+      frequency
+        [ (4, int_range 0 80); (2, int_range 80 400); (1, int_range 100_000 1_100_000) ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun x y -> Add (x, y)) id id);
+          (1, map2 (fun x y -> Remove (x, y)) id id);
+          (2, map (fun i -> Remove_nth i) nat);
+        ])
+  in
+  let print = function
+    | Add (x, y) -> Printf.sprintf "add %d %d" x y
+    | Remove (x, y) -> Printf.sprintf "remove %d %d" x y
+    | Remove_nth i -> Printf.sprintf "remove #%d" i
+  in
+  QCheck.Test.make ~name:"matching agrees with a Hashtbl model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (int_range 1 150) op))
+    (fun ops ->
+      let m = Matching.create () in
+      let fwd = Hashtbl.create 16 and bwd = Hashtbl.create 16 in
+      let version = ref 0 in
+      let touched = ref [] in
+      let model_remove x y =
+        if Hashtbl.find_opt fwd x = Some y then begin
+          Hashtbl.remove fwd x;
+          Hashtbl.remove bwd y;
+          incr version
+        end;
+        Matching.remove m x y
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Add (x, y) ->
+            touched := x :: y :: !touched;
+            let conflict =
+              (match Hashtbl.find_opt fwd x with Some y' -> y' <> y | None -> false)
+              || match Hashtbl.find_opt bwd y with Some x' -> x' <> x | None -> false
+            in
+            (match Matching.add m x y with
+            | () -> if conflict then QCheck.Test.fail_reportf "add %d %d accepted" x y
+            | exception Invalid_argument _ ->
+              if not conflict then QCheck.Test.fail_reportf "add %d %d refused" x y);
+            if (not conflict) && not (Hashtbl.mem fwd x) then begin
+              Hashtbl.replace fwd x y;
+              Hashtbl.replace bwd y x;
+              incr version
+            end
+          | Remove (x, y) -> model_remove x y
+          | Remove_nth i ->
+            let pairs = List.of_seq (Hashtbl.to_seq fwd) |> List.sort compare in
+            (match pairs with
+            | [] -> ()
+            | _ ->
+              let x, y = List.nth pairs (i mod List.length pairs) in
+              model_remove x y));
+          if Matching.version m <> !version then
+            QCheck.Test.fail_reportf "version %d, model %d" (Matching.version m) !version;
+          if Matching.cardinal m <> Hashtbl.length fwd then
+            QCheck.Test.fail_reportf "cardinal %d, model %d" (Matching.cardinal m)
+              (Hashtbl.length fwd))
+        ops;
+      List.iter
+        (fun i ->
+          if Matching.partner_of_old m i <> Hashtbl.find_opt fwd i then
+            QCheck.Test.fail_reportf "partner_of_old %d" i;
+          if Matching.partner_of_new m i <> Hashtbl.find_opt bwd i then
+            QCheck.Test.fail_reportf "partner_of_new %d" i)
+        !touched;
+      Matching.pairs m = List.sort compare (List.of_seq (Hashtbl.to_seq fwd))
+      && Matching.equal m (Matching.copy m))
+
 (* ------------------------------------------------------------- criteria *)
 
 let doc_pair a b =
@@ -442,124 +546,21 @@ let test_postprocess_noop_on_clean () =
   let m = Fast.run ctx in
   Alcotest.(check int) "no fixes needed" 0 (Treediff_matching.Postprocess.run ctx m)
 
-(* ------------------------------------------------------------ similarity *)
+(* ----------------------------------------------------------- worst case *)
 
-module Feature = Treediff_matching.Feature
-module Sim_index = Treediff_matching.Sim_index
-module Index = Treediff_tree.Index
-module Treegen = Treediff_workload.Treegen
 module Word_compare = Treediff_textdiff.Word_compare
-module SQ = Treediff_experiments.Sim_quality
 module Exec = Treediff_util.Exec
 module Budget = Treediff_util.Budget
 
-let test_feature_signature_distance () =
-  let a = "the quick brown fox jumps over the lazy dog by the river" in
-  let b = "the quick brown fox leaps over the lazy dog by the river" in
-  let c = "entirely different words sharing nothing with that other sentence" in
-  Alcotest.(check int) "self distance" 0
-    (Feature.hamming (Feature.value_signature a) (Feature.value_signature a));
-  let near = Feature.hamming (Feature.value_signature a) (Feature.value_signature b) in
-  let far = Feature.hamming (Feature.value_signature a) (Feature.value_signature c) in
-  Alcotest.(check bool) (Printf.sprintf "near %d < far %d" near far) true (near < far);
-  (* fewer than [bands] flipped bits leave at least one 8-bit band intact, so
-     a one-word rewording is guaranteed retrievable by the LSH index *)
-  Alcotest.(check bool)
-    (Printf.sprintf "one-word edit flips %d < %d bits" near Feature.bands)
-    true (near < Feature.bands)
-
-let test_feature_subtree_signatures () =
-  let src = {|(D (P (S "a b c") (S "d e f")) (P (S "a b c")))|} in
+(* FastMatch's worst case (Treegen.long_chain_pair: a shuffled chain of
+   mutually similar, pairwise distinct sentences) is budget-charged: a
+   tight comparison cap trips inside FastMatch, not after it. *)
+let test_long_chain_budget_charged () =
   let gen = Tree.gen () in
-  let t1 = Codec.parse gen src and t2 = Codec.parse gen src in
-  let idx1, idx2 = Index.pair ~t1 ~t2 () in
-  let s1 = Feature.signatures idx1 and s2 = Feature.signatures idx2 in
-  Alcotest.(check int) "array sizes" (Array.length s1) (Array.length s2);
-  (* signatures are a pure function of content: equal trees, equal arrays *)
-  Array.iteri
-    (fun r sg -> Alcotest.(check int) "equal content, equal signature" 0 (Feature.hamming sg s2.(r)))
-    s1;
-  (* equal-value leaves coincide, distinct-value leaves do not; the two P
-     subtrees differ, so their aggregated signatures differ too *)
-  Alcotest.(check int) "duplicate leaves coincide" 0 (Feature.hamming s1.(2) s1.(5));
-  Alcotest.(check bool) "distinct leaves differ" true (Feature.hamming s1.(2) s1.(3) > 0);
-  Alcotest.(check bool) "distinct subtrees differ" true (Feature.hamming s1.(1) s1.(4) > 0)
-
-let test_sim_index_query () =
-  let values =
-    Array.init 16 (fun i -> Printf.sprintf "alpha beta w%da w%db w%dc" i i i)
-  in
-  let sigs = Array.map Feature.value_signature values in
-  let ranks = Array.init 16 Fun.id in
-  let t = Sim_index.build ~sigs ranks in
-  Alcotest.(check int) "length" 16 (Sim_index.length t);
-  Array.iteri
-    (fun i sg ->
-      match Sim_index.query ~k:1 t sg with
-      | pos :: _ -> Alcotest.(check int) "nearest is itself" i (Sim_index.rank t pos)
-      | [] -> Alcotest.failf "query %d found nothing" i)
-    sigs;
-  let q3 = Sim_index.query ~k:3 t sigs.(0) in
-  Alcotest.(check (list int)) "deterministic" q3 (Sim_index.query ~k:3 t sigs.(0));
-  Alcotest.(check bool) "k bounds the answer" true (List.length q3 <= 3);
-  let q8 = Sim_index.query ~k:8 t sigs.(0) in
-  let prefix = List.filteri (fun i _ -> i < List.length q3) q8 in
-  Alcotest.(check (list int)) "smaller k is a prefix of larger k" q3 prefix
-
-(* The prefilter must reproduce exact FastMatch almost everywhere: aggregate
-   recall >= 0.95 over 200 random document pairs, with the prefilter forced
-   on for every chain (threshold 0) — the adversarial setting; production
-   only engages it past the chain-length threshold. *)
-let test_prefilter_recall_200 () =
-  let g = P.create 2026 in
-  let criteria = Criteria.make ~compare:Word_compare.distance () in
-  let totals = ref SQ.empty in
-  for _ = 1 to 200 do
-    let gen = Tree.gen () in
-    let t1 = Treegen.random_document g gen ~paragraphs:(4 + P.int g 12) ~vocab:30 in
-    let t2 = Treegen.perturb g gen ~ops:(1 + P.int g 8) t1 in
-    let exact = Fast.run (Criteria.ctx criteria ~t1 ~t2) in
-    let pre = Fast.run ~sim:(0, 8) (Criteria.ctx criteria ~t1 ~t2) in
-    totals := SQ.merge !totals (SQ.score ~exact pre)
-  done;
-  let r = SQ.recall !totals and p = SQ.precision !totals in
-  Alcotest.(check bool) (Printf.sprintf "recall %.4f >= 0.95" r) true (r >= 0.95);
-  (* criterion verification of every retrieved candidate keeps the pairs a
-     near-subset of the exact matching *)
-  Alcotest.(check bool) (Printf.sprintf "precision %.4f >= 0.98" p) true (p >= 0.98)
-
-(* On the long-chain corpus the prefilter must cut criterion comparisons by
-   a large factor while keeping recall — the whole point of the layer. *)
-let test_prefilter_cuts_comparisons () =
-  let gen = Tree.gen () in
-  let t1, t2 = SQ.long_chain_pair ~n:250 gen in
-  let criteria = Criteria.make ~compare:Word_compare.distance () in
-  let run ?sim () =
-    let exec = Exec.create () in
-    let ctx = Criteria.ctx ~exec criteria ~t1 ~t2 in
-    let m = Fast.run ?sim ctx in
-    (m, (Exec.stats exec).Treediff_util.Stats.leaf_compares)
-  in
-  let exact, exact_compares = run () in
-  let pre, pre_compares = run ~sim:(64, 8) () in
-  let s = SQ.score ~exact pre in
-  Alcotest.(check bool)
-    (Printf.sprintf "recall %.4f >= 0.95" (SQ.recall s))
-    true
-    (SQ.recall s >= 0.95);
-  Alcotest.(check bool)
-    (Printf.sprintf "compares %d at least 5x below %d" pre_compares exact_compares)
-    true
-    (pre_compares * 5 <= exact_compares)
-
-(* The sim path is budget-charged like every other matching phase: a tight
-   comparison cap trips inside FastMatch, not after it. *)
-let test_prefilter_budget_charged () =
-  let gen = Tree.gen () in
-  let t1, t2 = SQ.long_chain_pair ~n:100 gen in
+  let t1, t2 = Treediff_workload.Treegen.long_chain_pair ~n:100 gen in
   let exec = Exec.create ~budget:(Budget.make ~max_comparisons:50 ()) () in
   let ctx = Criteria.ctx ~exec (Criteria.make ~compare:Word_compare.distance ()) ~t1 ~t2 in
-  match Fast.run ~sim:(0, 8) ctx with
+  match Fast.run ctx with
   | _ -> Alcotest.fail "expected Budget.Exceeded"
   | exception Budget.Exceeded e ->
     Alcotest.(check string) "tripped in fast_match" "fast_match" e.Budget.phase
@@ -587,29 +588,6 @@ let test_postprocess_budget_charged () =
   | _ -> Alcotest.fail "expected Budget.Exceeded"
   | exception Budget.Exceeded e ->
     Alcotest.(check string) "tripped in postprocess" "postprocess" e.Budget.phase
-
-let test_greedy_deterministic_and_scored () =
-  let gen = Tree.gen () in
-  let t1, t2 = SQ.long_chain_pair ~n:120 gen in
-  let a = Sim_index.greedy ~t1 ~t2 () in
-  let b = Sim_index.greedy ~t1 ~t2 () in
-  Alcotest.(check bool) "deterministic" true (Matching.equal a b);
-  (* one-to-one and label-respecting by construction *)
-  let by_id1 = Test_support.index_by_id t1 and by_id2 = Test_support.index_by_id t2 in
-  List.iter
-    (fun (x, y) ->
-      match (Hashtbl.find_opt by_id1 x, Hashtbl.find_opt by_id2 y) with
-      | Some (a : Node.t), Some (b : Node.t) ->
-        Alcotest.(check string) "labels agree" a.Node.label b.Node.label
-      | _ -> Alcotest.fail "pair outside the tree pair")
-    (Matching.pairs a);
-  let criteria = Criteria.make ~compare:Word_compare.distance () in
-  let exact = Fast.run (Criteria.ctx criteria ~t1 ~t2) in
-  let s = SQ.score ~exact a in
-  Alcotest.(check bool)
-    (Printf.sprintf "greedy recall %.4f >= 0.9 on the long chain" (SQ.recall s))
-    true
-    (SQ.recall s >= 0.9)
 
 (* ---------------------------------------------------- word-compare paths *)
 
@@ -672,6 +650,9 @@ let () =
           Alcotest.test_case "basic" `Quick test_matching_basic;
           Alcotest.test_case "one-to-one enforced" `Quick test_matching_one_to_one;
           Alcotest.test_case "remove/copy/equal" `Quick test_matching_remove_copy_equal;
+          Alcotest.test_case "memory follows the pair count" `Quick
+            test_matching_sparse_allocation;
+          QCheck_alcotest.to_alcotest matching_model_prop;
         ] );
       ( "criteria",
         [
@@ -695,6 +676,8 @@ let () =
           Alcotest.test_case "chains" `Quick test_fastmatch_chains;
           QCheck_alcotest.to_alcotest matchers_agree_prop;
           QCheck_alcotest.to_alcotest matching_validity_prop;
+          Alcotest.test_case "long chain is budget-charged" `Quick
+            test_long_chain_budget_charged;
         ] );
       ( "a-of-k",
         [
@@ -716,22 +699,5 @@ let () =
           Alcotest.test_case "repair scan is budget-charged" `Quick
             test_postprocess_budget_charged;
           QCheck_alcotest.to_alcotest postprocess_validity_prop;
-        ] );
-      ( "similarity",
-        [
-          Alcotest.test_case "signature distance tracks similarity" `Quick
-            test_feature_signature_distance;
-          Alcotest.test_case "subtree signatures are content-pure" `Quick
-            test_feature_subtree_signatures;
-          Alcotest.test_case "LSH query: nearest, deterministic, k-bounded" `Quick
-            test_sim_index_query;
-          Alcotest.test_case "prefilter recall >= 0.95 over 200 pairs" `Quick
-            test_prefilter_recall_200;
-          Alcotest.test_case "prefilter cuts long-chain comparisons 5x" `Quick
-            test_prefilter_cuts_comparisons;
-          Alcotest.test_case "prefilter is budget-charged" `Quick
-            test_prefilter_budget_charged;
-          Alcotest.test_case "greedy matcher deterministic and scored" `Quick
-            test_greedy_deterministic_and_scored;
         ] );
     ]

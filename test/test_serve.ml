@@ -215,23 +215,33 @@ let test_handler_diff_and_cache () =
     (Option.get (Json.mem_str "output" body))
     (Option.get (Json.mem_str "output" body2));
   Alcotest.(check int) "one hit" 1 (Handler.cache_hits h);
-  (* an explicit approx answer is full quality too, cached under its own
-     key: the FastMatch answer above must not serve it *)
-  let approx_params =
+  (* the matcher params older clients may still send (approx,
+     sim_threshold, sim_top_k) are unknown params, which are ignored: the
+     answer is the one above, from the same cache entry or computed anew *)
+  let legacy_params =
     match diff_params () with
-    | Json.Obj fields -> Json.Obj (fields @ [ ("approx", Json.Bool true) ])
+    | Json.Obj fields ->
+      Json.Obj
+        (fields
+        @ [
+            ("approx", Json.Bool true);
+            ("sim_threshold", Json.int 2);
+            ("sim_top_k", Json.int 4);
+          ])
     | _ -> assert false
   in
-  let approx = ok_body (handle h (req "diff" approx_params)) in
-  Alcotest.(check bool) "approx not served from the fast entry" false
-    (Option.value ~default:true (Json.mem_bool "cached" approx));
-  Alcotest.(check (option string)) "approx not forced" None
-    (Json.mem_str "forced" approx);
-  let approx2 = ok_body (handle h (req "diff" approx_params)) in
-  Alcotest.(check bool) "repeated approx served from cache" true
-    (Option.value ~default:false (Json.mem_bool "cached" approx2));
-  Alcotest.(check (option string)) "same approx output"
-    (Json.mem_str "output" approx) (Json.mem_str "output" approx2);
+  let legacy = ok_body (handle h (req "diff" legacy_params)) in
+  Alcotest.(check bool) "legacy params served from the same entry" true
+    (Option.value ~default:false (Json.mem_bool "cached" legacy));
+  Alcotest.(check (option string)) "legacy params, same output"
+    (Json.mem_str "output" body) (Json.mem_str "output" legacy);
+  let uncached =
+    ok_body (handle (Handler.create ~cache_entries:0 ()) (req "diff" legacy_params))
+  in
+  Alcotest.(check (option string)) "legacy params, same output uncached"
+    (Json.mem_str "output" body) (Json.mem_str "output" uncached);
+  Alcotest.(check (option string)) "legacy params, not degraded" None
+    (Json.mem_str "degraded" uncached);
   Alcotest.(check int) "two hits" 2 (Handler.cache_hits h)
 
 let test_handler_pressure_levels () =

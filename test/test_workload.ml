@@ -193,6 +193,25 @@ let perturb_wellformed_prop =
       let t2 = Treegen.perturb g gen t in
       Invariant.check t2 = Ok () && Invariant.check t = Ok ())
 
+(* The long-chain generator is pinned by the structural hashes of four of
+   its pairs: the ladder sweep (bench/main.exe --budget-ms) and FastMatch's
+   worst-case tests diff these trees, and their recorded numbers hold only
+   while the trees stay the same. *)
+let test_long_chain_pinned () =
+  List.iter
+    (fun (seed, n, h1, h2) ->
+      let t1, t2 = Treegen.long_chain_pair ~seed ~n (Tree.gen ()) in
+      let name = Printf.sprintf "seed %d n %d" seed n in
+      Alcotest.(check int) (name ^ ": sentences") n (Node.size t1 - 1);
+      Alcotest.(check string) (name ^ ": old") h1 (Printf.sprintf "%Lx" (Iso.hash t1));
+      Alcotest.(check string) (name ^ ": new") h2 (Printf.sprintf "%Lx" (Iso.hash t2)))
+    [
+      (11, 100, "5b7ccfbcd92faa3", "cfff426247671049");
+      (11, 800, "cf74a7429d54466b", "6999a120b404fb67");
+      (5, 100, "5b7ccfbcd92faa3", "6393bed56671aef1");
+      (5, 800, "cf74a7429d54466b", "54dcd890c8a8ac35");
+    ]
+
 let () =
   Alcotest.run "workload"
     [
@@ -224,5 +243,6 @@ let () =
         [
           Alcotest.test_case "labels by depth" `Quick test_treegen_labels_by_depth;
           QCheck_alcotest.to_alcotest perturb_wellformed_prop;
+          Alcotest.test_case "long chain pinned by Iso.hash" `Quick test_long_chain_pinned;
         ] );
     ]

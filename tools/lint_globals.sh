@@ -130,5 +130,32 @@ if [ -n "$bad" ]; then
   status=1
 fi
 
+# @lint fault-registry
+# Every entry of Fault.registry (lib/util/fault.ml) must name a point that
+# code in lib/ still fires.  The fault suites sweep the registry, and an
+# entry whose call site is gone passes every sweep without testing
+# anything.  So each entry must appear as a string literal in some lib/
+# .ml file other than fault.ml.
+entries=$(sed -n '/^let registry =/,/^  \]/p' "$root/lib/util/fault.ml" \
+            | grep -o '"[^"]*"' | tr -d '"' || true)
+if [ -z "$entries" ]; then
+  echo 'lint_globals: could not read Fault.registry from lib/util/fault.ml' >&2
+  status=1
+fi
+bad=
+for point in $entries; do
+  if ! grep -rl -F "\"$point\"" "$root/lib" --include='*.ml' \
+       | grep -v -q '/lib/util/fault\.ml$'; then
+    bad="$bad
+lib/util/fault.ml: registry entry \"$point\" has no call site"
+  fi
+done
+bad=$(filter_allowed "$bad")
+if [ -n "$bad" ]; then
+  echo 'lint_globals: Fault.registry entry that nothing in lib/ fires (drop it or restore the point):' >&2
+  printf '%s\n' "$bad" >&2
+  status=1
+fi
+
 if [ "$status" -ne 0 ]; then exit "$status"; fi
 echo 'lint_globals: ok'
